@@ -35,6 +35,7 @@ from ..engine import EGraph
 from ..engine.schedule import Run, Schedule
 from ..serialize import SnapshotError, load_engine, read_document
 from ..serialize.encode import decode_schedule
+from .runner import gc_paused
 
 
 def _replay_schedule(document: Dict[str, object]) -> Schedule:
@@ -93,12 +94,14 @@ def replay_snapshot(
     engine = None
     report = None
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        engine, _ = load_engine(path, strategy=strategy)
-        load_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        report = engine.run_schedule(schedule)
-        run_times.append(time.perf_counter() - start)
+        with gc_paused():
+            start = time.perf_counter()
+            engine, _ = load_engine(path, strategy=strategy)
+            load_times.append(time.perf_counter() - start)
+        with gc_paused():
+            start = time.perf_counter()
+            report = engine.run_schedule(schedule)
+            run_times.append(time.perf_counter() - start)
 
     meta = document.get("meta")
     generator = meta.get("generator", "?") if isinstance(meta, dict) else "?"

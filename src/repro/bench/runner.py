@@ -1,8 +1,9 @@
 """Benchmark runner: time workloads across engine variants, emit BENCH JSON.
 
 For each workload the runner builds a fresh engine per (variant, repeat),
-times setup and run separately with ``time.perf_counter``, and folds in the
-phase split (search/apply/rebuild) that the scheduler's
+times setup and run separately with ``time.perf_counter`` (each region
+with the cyclic GC collected up front and paused, see :func:`gc_paused`),
+and folds in the phase split (search/apply/rebuild) that the scheduler's
 :class:`~repro.core.schema.RunReport` already tracks.  Aggregation is the
 median over repeats — robust to one noisy run without needing many.
 
@@ -16,12 +17,14 @@ rebuild baseline (``generic-adhoc``) on the same workload.
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .._version import package_version
 from ..engine import EGraph
@@ -46,15 +49,36 @@ BASELINE_VARIANT = "generic-adhoc"
 CANDIDATE_VARIANT = "generic-index"
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Wrap one timed region: collect garbage first, keep the cyclic GC off
+    inside, and turn it back on after.
+
+    A collection that fires mid-region charges the cost of earlier
+    allocations to whatever code happens to be running, which spreads
+    repeats of the same work far apart.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run_once(workload: Workload, strategy: str) -> Dict[str, object]:
     """One cold run of ``workload`` on a fresh engine; returns raw numbers."""
     egraph = EGraph(strategy=strategy)
-    start = time.perf_counter()
-    workload.setup(egraph)
-    setup_s = time.perf_counter() - start
-    start = time.perf_counter()
-    report = workload.run(egraph)
-    run_s = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        workload.setup(egraph)
+        setup_s = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        report = workload.run(egraph)
+        run_s = time.perf_counter() - start
     table_rows = {
         name: len(egraph.tables[name])
         for name in workload.tables_of_interest

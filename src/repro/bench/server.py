@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .._version import package_version
 from ..session import SessionManager
-from .runner import SCHEMA, _run_s_stats
+from .runner import SCHEMA, _run_s_stats, gc_paused
 
 #: Workload name: the document lands in ``BENCH_server.json``.
 SERVER_BENCH_NAME = "server"
@@ -69,19 +69,21 @@ def _observe(session, n: int) -> Tuple[int, int, bool]:
 def _fork_warm(n: int, sessions: int, strategy: str) -> Dict[str, object]:
     """One timed pass: N forks from a single pre-saturated base."""
     manager = SessionManager(strategy=strategy, max_sessions=sessions + 1)
-    start = time.perf_counter()
-    manager.add_base_from_program(_BASE, _chain_program(n) + f"\n(run {4 * n})")
-    setup_s = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        manager.add_base_from_program(_BASE, _chain_program(n) + f"\n(run {4 * n})")
+        setup_s = time.perf_counter() - start
     iterations = matches = 0
     saturated = True
-    start = time.perf_counter()
-    for _ in range(sessions):
-        session = manager.create_session(_BASE)
-        i, m, s = _observe(session, n)
-        iterations += i
-        matches += m
-        saturated = saturated and s
-    run_s = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        for _ in range(sessions):
+            session = manager.create_session(_BASE)
+            i, m, s = _observe(session, n)
+            iterations += i
+            matches += m
+            saturated = saturated and s
+        run_s = time.perf_counter() - start
     return {
         "setup_s": setup_s,
         "run_s": run_s,
@@ -97,15 +99,16 @@ def _cold_load(n: int, sessions: int, strategy: str) -> Dict[str, object]:
     program = _chain_program(n)
     iterations = matches = 0
     saturated = True
-    start = time.perf_counter()
-    for _ in range(sessions):
-        session = manager.create_session()
-        session.run_egg(program)
-        i, m, s = _observe(session, n)
-        iterations += i
-        matches += m
-        saturated = saturated and s
-    run_s = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        for _ in range(sessions):
+            session = manager.create_session()
+            session.run_egg(program)
+            i, m, s = _observe(session, n)
+            iterations += i
+            matches += m
+            saturated = saturated and s
+        run_s = time.perf_counter() - start
     return {"setup_s": 0.0, "run_s": run_s,
             "iterations": iterations, "matches": matches, "saturated": saturated}
 

@@ -202,17 +202,19 @@ class _IndexedStep:
     """One atom of an indexed plan, with column roles resolved.
 
     ``proj_cols``/``proj_get`` describe the hash-index lookup (constants and
-    already-bound variables); ``key_binds``/``out_bind`` write
-    first-occurrence variables into slots; ``key_dups``/``out_dup`` check
-    repeated variables; ``key_consts``/``out_const`` check constants per
-    row (used by the delta step, which scans the write log instead of an
-    index).
+    already-bound variables); ``by_key`` marks a step whose key columns are
+    all bound, which probes the row dict by key instead of an index;
+    ``key_binds``/``out_bind`` write first-occurrence variables into slots;
+    ``key_dups``/``out_dup`` check repeated variables;
+    ``key_consts``/``out_const`` check constants per row (used by the delta
+    step, which scans the write log instead of an index).
     """
 
     __slots__ = (
         "func",
         "arity",
         "is_delta",
+        "by_key",
         "proj_cols",
         "proj_get",
         "key_consts",
@@ -275,6 +277,7 @@ class _IndexedStep:
                 proj_cols.append(col_index)
                 proj_get.append((False, col))
         bound.update(seen_here)
+        self.by_key = not is_delta and proj_cols[:arity] == list(range(arity))
         self.proj_cols = tuple(proj_cols)
         self.proj_get = tuple(proj_get)
         self.key_consts = tuple(key_consts)
@@ -373,6 +376,15 @@ class CompiledIndexedQuery:
         table = tables[step.func]
         if step.is_delta:
             candidates = table.new_keys(since)
+        elif step.by_key:
+            proj = tuple(
+                [regs[spec] if is_slot else spec for is_slot, spec in step.proj_get]
+            )
+            key = proj[: step.arity]
+            row = table.data.get(key)
+            if row is None or (len(proj) > step.arity and row.value != proj[-1]):
+                return
+            candidates = [key]
         elif step.proj_cols:
             index = table.index(step.proj_cols)
             proj = tuple(

@@ -65,6 +65,10 @@ class Table:
     output.  The table enforces nothing about canonicalization or merges —
     that is the engine's and the rebuilder's job — it only stores rows and
     provides lookups, scans, and indexes.
+
+    Snapshots are copy-on-write (:meth:`snapshot`/:meth:`restore`): a
+    capture shares the row dict and write log, and only the first write
+    after it copies them.
     """
 
     def __init__(self, decl: FunctionDecl) -> None:
@@ -87,6 +91,10 @@ class Table:
         # the flush applies one net update per key instead of one per write.
         self._batch_depth = 0
         self._pending: Dict[Key, Optional[Row]] = {}
+        # Copy-on-write: True while ``data`` and the write log are also held
+        # by a snapshot (see :meth:`snapshot`), so the next write must copy
+        # them before mutating.
+        self._shared = False
 
     # -- basic access --------------------------------------------------------
 
@@ -113,6 +121,8 @@ class Table:
 
     def put(self, key: Key, value: Value, timestamp: int) -> None:
         """Insert or overwrite a row, updating every maintained index."""
+        if self._shared:
+            self._unshare()
         old = self.data.get(key)
         self.data[key] = Row(value, timestamp)
         if self._log_ts and timestamp < self._log_ts[-1]:
@@ -163,8 +173,23 @@ class Table:
         self._log_keys = [key for _ts, key in entries]
         self._log_sorted = True
 
+    def _unshare(self) -> None:
+        """Take private copies of the rows and write log a snapshot holds.
+
+        The one-time cost of the first write after :meth:`snapshot` or
+        :meth:`restore`; indexes and tries are table-owned and carry over.
+        """
+        self.data = dict(self.data)
+        self._log_ts = list(self._log_ts)
+        self._log_keys = list(self._log_keys)
+        self._shared = False
+
     def remove(self, key: Key) -> Optional[Row]:
         """Remove and return a row (None if absent); indexes stay in sync."""
+        if self._shared:
+            if key not in self.data:
+                return None
+            self._unshare()
         row = self.data.pop(key, None)
         if row is None:
             return None
@@ -317,49 +342,52 @@ class Table:
     def snapshot(self) -> tuple:
         """Capture the table's rows and write log for a later :meth:`restore`.
 
-        Rows are shared, not copied: the engine never mutates a ``Row`` in
-        place (``put`` always stores a fresh one), so structural sharing is
-        safe and keeps ``push`` cheap.  Indexes are derived data and are not
-        captured; :meth:`restore` marks them for lazy rebuild instead.
+        Copy-on-write, so a capture costs O(1): the row dict and the write
+        log are returned by reference and the table is marked shared.  The
+        first ``put``/``remove`` afterwards copies them (one O(rows) copy of
+        this table only), so the capture itself is never mutated.  Rows are
+        immutable (``put`` always stores a fresh one), which makes sharing
+        the containers safe.  Indexes are derived data and are not captured.
         """
         if self._pending:
             self._flush_pending()
-        return (dict(self.data), list(self._log_ts), list(self._log_keys), self._log_sorted)
+        self._shared = True
+        return (self.data, self._log_ts, self._log_keys, self._log_sorted)
 
     def restore(self, state: tuple) -> None:
-        """Reinstall a state captured by :meth:`snapshot`.
+        """Reinstall a state captured by :meth:`snapshot`, in O(1).
 
-        Copies defensively, like ``UnionFind.restore``: installing the
-        snapshot's own containers by reference would let post-restore
-        writes mutate the captured tuple, corrupting a second restore of
-        the same snapshot (e.g. a push-stack entry pinned across an
-        aborted transactional batch).
+        The captured containers are installed by reference and the table is
+        marked shared, so later writes copy first and the same capture can
+        be restored again (e.g. a push-stack entry pinned across an aborted
+        transactional batch).
 
-        Hash indexes describe the abandoned state and are dropped (rebuilt
-        on demand).  Registered tries survive — their orderings are the
-        compiled rules' access plans — but are marked stale so the next
-        access reconstructs them from the restored rows.
+        When the table was not written since the capture — it still holds
+        the captured row dict — hash indexes and tries describe exactly the
+        restored rows and are kept.  Otherwise hash indexes are dropped
+        (rebuilt on demand) and registered tries, whose orderings are the
+        compiled rules' access plans, are marked stale so the next access
+        reconstructs them from the restored rows.
         """
-        data, log_ts, log_keys, log_sorted = state
-        self.data = dict(data)
-        self._log_ts = list(log_ts)
-        self._log_keys = list(log_keys)
-        self._log_sorted = log_sorted
-        self._pending.clear()
-        self._indexes.clear()
-        for trie in self._tries.values():
-            trie.stale = True
+        if state[0] is not self.data:
+            self._pending.clear()
+            self._indexes.clear()
+            for trie in self._tries.values():
+                trie.stale = True
+        self.data, self._log_ts, self._log_keys, self._log_sorted = state
+        self._shared = True
 
     def load_rows(self, entries: List[Tuple[Key, Value, int]]) -> None:
         """Bulk-install rows from a deserialized snapshot.
 
         Replaces the table's contents wholesale (keys in ``entries`` order,
         which a snapshot records as the original insertion order) and
-        rebuilds the write log sorted by timestamp.  Like :meth:`restore`,
-        derived indexes are invalidated rather than maintained: hash indexes
-        are dropped and registered tries marked stale for lazy rebuild.
+        rebuilds the write log sorted by timestamp.  Derived indexes are
+        invalidated rather than maintained: hash indexes are dropped and
+        registered tries marked stale for lazy rebuild.
         """
         self.data = {key: Row(value, ts) for key, value, ts in entries}
+        self._shared = False
         self._compact_log()
         self._pending.clear()
         self._indexes.clear()

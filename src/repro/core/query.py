@@ -280,8 +280,14 @@ def search_indexed(
                 bound_cols.append(col_index)
                 bound_vals.append(col)
 
+        n_args = len(atom.args)
         if is_delta:
             candidate_keys = table.new_keys(since)
+        elif bound_cols[:n_args] == list(range(n_args)):
+            # Every key column is bound: one dict probe, no index.  A bound
+            # output is checked against the row by ``_bind_row`` below.
+            key = tuple(bound_vals[:n_args])
+            candidate_keys = [key] if key in table.data else []
         elif bound_cols:
             index = table.index(tuple(bound_cols))
             # Snapshot the entry: the index is live (incrementally maintained)

@@ -23,6 +23,7 @@ expressions and an e-graph engine whose rewrites are rules):
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.builtins import PrimitiveRegistry, default_registry
@@ -693,12 +694,14 @@ class EGraph:
 
         Everything observable is captured: the union-find, every table's
         rows, declarations, rules and their semi-naïve watermarks, the
-        timestamp, and the update counter.  The snapshot is *out of band* —
-        it does not touch the :meth:`push`/:meth:`pop` stack, so holders
-        (the session layer's transactional batches) can roll back without
-        disturbing client-visible push/pop pairing.  Compiled executors are
-        invalidated on capture, mirroring :meth:`push`: plans minted before
-        the capture must not survive a later :meth:`restore_state`.
+        timestamp, and the update counter.  A capture costs O(tables +
+        e-classes), not O(rows): tables are captured copy-on-write (see
+        ``Table.snapshot``), while the union-find, proof forest and proof
+        log are copied.  The snapshot is *out of band* — it does not touch
+        the :meth:`push`/:meth:`pop` stack, so holders (transactional
+        batches, :meth:`fork`) can roll back without disturbing
+        client-visible push/pop pairing.  Compiled executors are
+        invalidated on capture, mirroring :meth:`push`.
         """
         state = {
             "uf": self.uf.snapshot(),
@@ -721,21 +724,19 @@ class EGraph:
         """Reinstall a :meth:`snapshot_state` capture, discarding all changes
         made since.  E-class ids allocated after the capture become invalid.
 
-        The capture survives the restore intact: every container is
-        installed as a defensive copy (mirroring ``UnionFind.restore`` and
-        ``Table.restore``), so mutations made after one restore can never
-        leak into a second restore of the same snapshot — a pinned
-        transaction snapshot or push-stack entry stays pristine even when
-        a ``pop`` runs inside an aborted batch.
+        The capture survives the restore intact, so it can be restored
+        again: tables share its rows copy-on-write and every other
+        container is installed as a copy.  A pinned transaction snapshot or
+        push-stack entry stays pristine even when a ``pop`` runs inside an
+        aborted batch.
         """
         self.uf.restore(snap["uf"])
         self.sorts = dict(snap["sorts"])
         self.decls = dict(snap["decls"])
         # Tables declared after the capture are dropped; surviving Table
-        # objects are restored in place (rules hold no table refs, but
-        # this keeps any external handles coherent).  A table present at
-        # capture but gone now (an in-batch ``load`` replaced the schema)
-        # is recreated from its declaration.
+        # objects are restored in place, so tables not written since the
+        # capture keep their indexes.  A table missing now (a fresh fork,
+        # or an in-batch ``load`` replaced the schema) is recreated.
         self.tables = {
             name: self.tables[name] for name in snap["tables"] if name in self.tables
         }
@@ -1096,60 +1097,34 @@ class EGraph:
         return document
 
     def fork(self, *, strategy: Optional[str] = None) -> "EGraph":
-        """An independent copy of this engine, by structural state copy.
+        """An independent copy of this engine: a fresh engine restored from
+        :meth:`snapshot_state`, the capture path push/pop and transactional
+        batches use.
 
-        Semantically identical to round-tripping through an in-memory
+        Tables are shared copy-on-write, so a fork costs O(tables +
+        e-classes) and each engine copies a table only when it first
+        writes it.  Semantically identical to round-tripping through a
         ``repro.snapshot/v1`` document (``engine_document(fork)`` is
         byte-identical to ``engine_document(parent)``, which the test suite
-        pins), but built by copying state directly — the same structural
-        sharing :meth:`push` relies on (rows and values are immutable, so
-        containers are copied and their contents shared).  That makes a
-        fork a few dict/list copies instead of thousands of JSON decodes:
-        the session service's hot path.
-
-        The fork is deeply isolated — rows, union-find, proof forest,
-        rules, and watermarks; mutating either engine never affects the
-        other — while derived state (indexes, compiled executors, merge-fn
-        caches) is rebuilt lazily, exactly as after a snapshot load.  The
-        push/pop stack does not carry over.
+        pins).  Mutating either engine never affects the other.  The fork
+        gets fresh rule objects, because a rule's watermark and executor
+        cache belong to one engine; indexes and compiled executors are
+        rebuilt lazily, and the push/pop stack does not carry over.
 
         The fork *shares* this engine's primitive registry, which keeps the
         process-level compiled-plan cache (``repro.engine.compilecache``)
-        hot: sessions forked from one base reuse the base's query plans
-        instead of recompiling per fork.
-
-        ``strategy`` overrides the fork's join strategy (defaults to the
-        parent's).
+        hot across sessions forked from one base.  ``strategy`` overrides
+        the fork's join strategy (defaults to the parent's).
         """
         child = EGraph(
             strategy=strategy if strategy is not None else self._strategy,
             registry=self.registry,
             proofs=self.uf.proofs is not None,
         )
-        child.uf.restore(self.uf.snapshot())
-        child._proof_log = (
-            dict(self._proof_log) if self._proof_log is not None else None
-        )
-        child.sorts = dict(self.sorts)
-        child._eq_sorts = set(self._eq_sorts)
-        child.decls = dict(self.decls)
-        for name, table in self.tables.items():
-            copy = Table(table.decl)
-            copy.restore(table.snapshot())
-            child.tables[name] = copy
+        child.restore_state(self.snapshot_state())
         child.rules = {
-            name: CompiledRule(
-                name=rule.name,
-                query=rule.query,
-                actions=rule.actions,
-                ruleset=rule.ruleset,
-                last_run=rule.last_run,
-            )
-            for name, rule in self.rules.items()
+            name: replace(rule, exec_cache={}) for name, rule in child.rules.items()
         }
-        child.rulesets = {name: list(rules) for name, rules in self.rulesets.items()}
-        child.timestamp = self.timestamp
-        child._updates = self._updates
         return child
 
     # -- introspection --------------------------------------------------------

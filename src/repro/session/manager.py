@@ -166,9 +166,9 @@ class Session:
         engine = self.engine
         state = engine.snapshot_state()
         # A shallow list copy pins the pre-batch push/pop stack: entries
-        # stay pristine even if the batch pops them, because
-        # ``restore_state`` installs defensive copies rather than the
-        # snapshot's own containers.
+        # stay pristine even if the batch pops them, because writes after
+        # ``restore_state`` never reach a capture (tables copy on their
+        # first write, other containers are installed as copies).
         stack = list(engine._snapshots)
         frontend = self.evaluator.session_snapshot()
         try:

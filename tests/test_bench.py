@@ -112,6 +112,28 @@ def test_median_run_s_tolerates_v1_documents():
     assert median_run_s({"run_s": 9.9, "run_s_stats": {"median": 0.5}}) == 0.5
 
 
+def test_gc_paused_disables_gc_only_inside_the_region():
+    import gc
+
+    from repro.bench.runner import gc_paused
+
+    assert gc.isenabled()
+    with gc_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with gc_paused():
+            raise RuntimeError("timed region failed")
+    assert gc.isenabled()
+    gc.disable()  # a caller that already paused GC keeps it paused
+    try:
+        with gc_paused():
+            pass
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_variants_agree_on_results():
     workloads = [
         tiny_tc(),

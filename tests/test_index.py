@@ -2,12 +2,13 @@
 
 The load-bearing property: a registered :class:`TrieIndex` maintained
 incrementally through arbitrary interleavings of insert / overwrite /
-delete / union / rebuild / push / pop must be *indistinguishable* from a
-trie built fresh from the table's rows — and its timestamp-bucket delta
-views must equal fresh tries over exactly the rows at or after the
-watermark.  Directed cases pin the mechanics; a hypothesis property drives
-random op sequences; engine-level cases cover unions, rebuilding, and
-snapshot restore through the real write paths.
+delete / union / rebuild / push / pop / fork must be *indistinguishable*
+from a trie built fresh from the table's rows — and its timestamp-bucket
+delta views must equal fresh tries over exactly the rows at or after the
+watermark.  Directed cases pin the mechanics, including copy-on-write
+snapshots; a hypothesis property drives random op sequences; engine-level
+cases cover unions, rebuilding, and snapshot restore through the real
+write paths.
 """
 
 import pytest
@@ -112,6 +113,57 @@ def test_restore_marks_tries_stale_and_they_self_heal():
     assert not trie.stale
     assert trie.root == {i64(1): {i64(2): {UNIT_VALUE: True}}}
     assert_index_matches(table, (0, 1, 2))
+
+
+def rows_of(data):
+    """A row dict as an ordered list: insertion order, outputs, timestamps."""
+    return [(k, row.value, row.timestamp) for k, row in data.items()]
+
+
+def test_snapshot_of_an_unwritten_table_copies_nothing():
+    table = make_table()
+    table.put(key(1, 2), i64(10), 0)
+    index = table.index((0,))
+    data, log_ts, log_keys = table.data, table._log_ts, table._log_keys
+    state = table.snapshot()
+    assert state[0] is data and state[1] is log_ts and state[2] is log_keys
+    # Restoring before any write keeps the containers and the hash index.
+    table.restore(state)
+    assert table.data is data and table._indexes[(0,)] is index
+    # The first write copies this table once; the capture is untouched.
+    table.put(key(3, 4), i64(30), 1)
+    assert table.data is not data and table._indexes[(0,)] is index
+    assert rows_of(state[0]) == [(key(1, 2), i64(10), 0)]
+    assert state[1] == [0] and state[2] == [key(1, 2)]
+    assert set(index) == {(i64(1),), (i64(3),)}
+
+
+def test_restoring_one_capture_twice_after_writes_on_both_sides_of_a_fork():
+    parent = make_table()
+    for n in range(4):
+        parent.put(key(n, n), i64(n), n)
+    parent.ensure_trie((0, 1, 2))
+    capture = parent.snapshot()
+    expected = rows_of(parent.data)
+    child = make_table()
+    child.restore(capture)  # a fork: the child shares the parent's rows
+    parent.put(key(9, 9), i64(9), 5)
+    parent.remove(key(0, 0))
+    child.put(key(0, 0), i64(99), 6)
+    child.remove(key(3, 3))
+    assert rows_of(parent.data) != rows_of(child.data)
+    assert rows_of(capture[0]) == expected
+    for table in (parent, child, parent, child):
+        table.restore(capture)
+        assert rows_of(table.data) == expected
+        assert table.new_keys(2) == [key(2, 2), key(3, 3)]
+        table.put(key(7, 7), i64(7), 7)  # dirty it again before the next round
+    assert rows_of(capture[0]) == expected
+    parent.restore(capture)
+    assert_index_matches(parent, (0, 1, 2), timestamps=range(8))
+    assert {proj: set(keys) for proj, keys in parent.index((1,)).items()} == {
+        (i64(n),): {key(n, n)} for n in range(4)
+    }
 
 
 def test_descend_constants_views():
@@ -280,10 +332,11 @@ def op_sequences(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["put", "remove", "snapshot", "restore"]),
+                st.sampled_from(["put", "remove", "snapshot", "restore", "fork"]),
                 st.integers(0, 3),  # first arg
                 st.integers(0, 3),  # second arg
                 st.integers(0, 4),  # value / timestamp salt
+                st.integers(0, 1),  # target: the parent table or its fork
             ),
             min_size=1,
             max_size=25,
@@ -292,30 +345,63 @@ def op_sequences(draw):
     return ops
 
 
+def indexed_table(state=None):
+    table = Table(FunctionDecl("f", ("i64", "i64"), "i64"))
+    if state is not None:
+        table.restore(state)
+    for order in ORDERS:
+        table.ensure_trie(order)
+    table.index((0,))
+    return table
+
+
 @settings(max_examples=80, deadline=None)
 @given(ops=op_sequences())
 def test_random_op_interleavings_keep_indexes_exact(ops):
-    table = Table(FunctionDecl("f", ("i64", "i64"), "i64"))
-    for order in ORDERS:
-        table.ensure_trie(order)
-    hash_index = table.index((0,))
-    saved = None
+    # Copy-on-write tables against a plain-dict model ({key: (value, ts)},
+    # whose insertion order is the one a real dict keeps): writes on either
+    # side of a fork, snapshots and restores must never leak across tables
+    # or into a capture, and indexes must stay exact throughout.
+    tables = [indexed_table()]
+    models = [{}]
+    saved = None  # (capture, model at capture time)
     timestamp = 0
-    for op, a, b, salt in ops:
+    for op, a, b, salt, target in ops:
+        side = min(target, len(tables) - 1)
+        table, model = tables[side], models[side]
+        k = key(a, b)
         if op == "put":
             timestamp += salt % 2  # non-decreasing, sometimes repeating
-            table.put(key(a, b), i64(salt), timestamp)
+            table.put(k, i64(salt), timestamp)
+            model[k] = (i64(salt), timestamp)
         elif op == "remove":
-            table.remove(key(a, b))
+            table.remove(k)
+            model.pop(k, None)
         elif op == "snapshot":
-            saved = table.snapshot()
+            saved = (table.snapshot(), dict(model))
         elif op == "restore" and saved is not None:
-            table.restore(saved)
-            hash_index = table.index((0,))  # dropped by restore; rebuild
-    for order in ORDERS:
-        assert_index_matches(table, order, timestamps=range(timestamp + 2))
-    # The hash index must agree with a from-scratch grouping too.
-    expected = {}
-    for k, _row in table.data.items():
-        expected.setdefault((k[0],), set()).add(k)
-    assert {proj: set(keys) for proj, keys in hash_index.items()} == expected
+            table.restore(saved[0])
+            table.index((0,))  # rebuilt if the restore dropped it
+            models[side] = dict(saved[1])
+        elif op == "fork":
+            tables[1:] = [indexed_table(tables[0].snapshot())]
+            models[1:] = [dict(models[0])]
+    for table, model in zip(tables, models):
+        assert list(table.data) == list(model)
+        assert {k: (row.value, row.timestamp) for k, row in table.data.items()} == model
+        for since in range(timestamp + 2):
+            delta = table.new_keys(since)
+            assert len(delta) == len(set(delta))
+            assert set(delta) == {k for k, (_v, ts) in model.items() if ts >= since}
+        for order in ORDERS:
+            assert_index_matches(table, order, timestamps=range(timestamp + 2))
+        # The maintained hash index must agree with a from-scratch grouping.
+        expected = {}
+        for k in model:
+            expected.setdefault((k[0],), set()).add(k)
+        hash_index = table.index((0,))
+        assert {proj: set(keys) for proj, keys in hash_index.items()} == expected
+    if saved is not None:
+        capture, model = saved
+        assert list(capture[0]) == list(model)
+        assert {k: (row.value, row.timestamp) for k, row in capture[0].items()} == model

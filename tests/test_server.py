@@ -472,6 +472,32 @@ def test_failed_batch_rolls_back_engine_and_globals():
     assert _engine_bytes(s) == before
 
 
+def test_failed_program_batch_keeps_indexes_of_tables_it_never_wrote():
+    # Rollback reinstalls unwritten tables by reference, so an index built
+    # before the batch survives it instead of being rebuilt on next use.
+    live = LiveServer()
+    try:
+        live.request("POST", "/bases", {"name": "tc", "program": TC_PROGRAM + "(run 10)"})
+        _, body = live.request("POST", "/sessions", {"base": "tc"})
+        sid = body["session"]["id"]
+        path_from_1 = {
+            "op": "check",
+            "facts": [["a", "path", [["l", ["i64", 1]], ["v", "y"]]]],
+        }
+        status, body = live.request("POST", f"/sessions/{sid}/program", {"ops": [path_from_1]})
+        assert status == 200 and body["results"][0]["count"] == 4
+        path = live.app.manager.get(sid).engine.tables["path"]
+        index = path._indexes[(0,)]
+        status, _ = live.request(
+            "POST", f"/sessions/{sid}/program", {"ops": [path_from_1, {"op": "nope"}]}
+        )
+        assert status == 422
+        assert path._indexes[(0,)] is index
+        assert live.app.manager.get(sid).engine.tables["path"] is path
+    finally:
+        live.stop()
+
+
 def test_non_atomic_batch_keeps_partial_state():
     mgr = SessionManager()
     s = mgr.create_session()
