@@ -9,16 +9,16 @@ These modules implement the building blocks the paper's engine is made of:
 * :mod:`repro.core.database` — the timestamped functional database
   (Section 5.1)
 * :mod:`repro.core.terms` — tree-shaped terms and patterns
-* :mod:`repro.core.query` — conjunctive queries + index-nested-loop search
-* :mod:`repro.core.genericjoin` — worst-case optimal generic join
-  (relational e-matching)
+* :mod:`repro.core.query` — conjunctive query data types
+* :mod:`repro.core.compile` — the compiled join executors: index-nested-loop
+  and worst-case optimal generic join (relational e-matching)
+* :mod:`repro.core.index` — persistent column-trie indexes and query planning
 * :mod:`repro.core.builtins` — primitive sorts and operations (Section 5.2)
 """
 
 from .builtins import PrimitiveRegistry, default_registry
 from .database import Row, Table
-from .genericjoin import search_generic
-from .query import PrimAtom, Query, QVar, Substitution, TableAtom, search_indexed
+from .query import PrimAtom, Query, QVar, Substitution, TableAtom
 from .schema import FunctionDecl, RunReport
 from .terms import App, L, Term, TermApp, TermLit, TermVar, V, as_term
 from .unionfind import UnionFind
@@ -81,7 +81,5 @@ __all__ = [
     "from_python",
     "i64",
     "rational",
-    "search_generic",
-    "search_indexed",
     "string",
 ]

@@ -1,13 +1,10 @@
-"""Compiled query plans: the positional search hot path.
+"""Compiled query plans: the one search path for every join strategy.
 
-The interpreted strategies in :mod:`repro.core.query` and
-:mod:`repro.core.genericjoin` pay per-match interpretation costs the paper's
-engine never does (journals_pacmpl_ZhangWFCZRTW23 §4–5): every row binding
-goes through a ``Dict[str, Value]`` substitution, every column is
-re-inspected with ``isinstance(col, QVar)``, and every primitive atom
-re-discovers its evaluation order.  A compiled rule runs its query millions
-of times against the same *structure* — only the data changes — so all of
-that is resolved here once per (rule, strategy):
+Rule bodies and one-off public queries (``query``, ``check``) both run
+through the executors here (journals_pacmpl_ZhangWFCZRTW23 §4–5).  A
+compiled rule runs its query millions of times against the same
+*structure* — only the data changes — so everything structural is
+resolved once per (query, strategy):
 
 * **Slots.**  Query variables become integer slots
   (:func:`assign_slots`); a match is a plain ``tuple`` of values in slot
@@ -18,22 +15,21 @@ that is resolved here once per (rule, strategy):
   the per-row inner loops below do zero ``isinstance`` work.
 * **Primitive programs.**  Primitive atoms are scheduled once into a
   straight-line program (:func:`compile_prims`) whose steps fetch
-  arguments from slots; the interpreted retry loop of ``apply_prims`` is
-  gone from the hot path.
+  arguments from slots.
 
-Two executors are provided, mirroring the two interpreted join strategies
-and — deliberately — enumerating matches in exactly the same order for the
-same database state, so compiled and interpreted runs produce identical
-results (same e-class allocation order, same extraction tie-breaks):
+One executor per engine strategy:
 
 * :class:`CompiledIndexedQuery` — index-nested-loop join (the default
-  engine strategy).  The greedy atom order still adapts to live table
-  sizes via :func:`repro.core.query.plan_order`; the per-atom step
-  structures are cached keyed by the resulting order.
+  engine strategy).  The greedy atom order adapts to live table sizes via
+  :func:`plan_order`; the per-atom step structures are cached keyed by the
+  resulting order.
 * :class:`CompiledGenericQuery` — worst-case optimal generic join over the
-  persistent trie indexes (or per-execution tries for the ad-hoc
-  baseline).  The per-depth sets of involved atoms are fully static, so
-  the descent does no per-node atom scanning.
+  tables' persistent trie indexes, building a trie per execution for any
+  atom whose ordering is not registered.  The per-depth sets of involved
+  atoms are fully static, so the descent does no per-node atom scanning.
+
+Both support *delta* searches for semi-naïve evaluation: one designated
+atom is restricted to rows whose timestamp is at least ``since``.
 
 Cache invalidation is the engine's job: compiled executors are cached per
 (rule, strategy) and keyed by the engine's compile epoch, which push/pop
@@ -47,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .builtins import PrimitiveRegistry
 from .database import Table
 from .index import NONEMPTY, descend_constants, plan_query
-from .query import Query, QVar, TableAtom, plan_order
+from .query import Query, QVar, TableAtom
 from .values import BOOL, UNIT, Value
 
 MatchTuple = Tuple[Value, ...]
@@ -80,6 +76,41 @@ def assign_slots(query: Query) -> Tuple[Dict[str, int], Tuple[str, ...]]:
     return slot_of, tuple(names)
 
 
+def plan_order(
+    atoms: Sequence[TableAtom],
+    tables: Dict[str, Table],
+    delta_index: Optional[int],
+) -> List[int]:
+    """Greedy join order for the indexed executor: the delta atom first,
+    then atoms that share the most already-bound variables, tie-broken by
+    smallest table."""
+    remaining = list(range(len(atoms)))
+    order: List[int] = []
+    bound: Set[str] = set()
+
+    def take(index: int) -> None:
+        order.append(index)
+        remaining.remove(index)
+        bound.update(atoms[index].variables())
+
+    if delta_index is not None:
+        take(delta_index)
+    while remaining:
+        best = None
+        best_key = None
+        for index in remaining:
+            atom = atoms[index]
+            atom_vars = set(atom.variables())
+            n_bound = len(atom_vars & bound)
+            size = len(tables[atom.func]) if atom.func in tables else 0
+            key = (-n_bound, size)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = index
+        take(best)  # type: ignore[arg-type]
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Primitive programs
 # ---------------------------------------------------------------------------
@@ -102,12 +133,11 @@ def compile_prims(
 ) -> Optional[Callable[[List[Optional[Value]]], bool]]:
     """Schedule primitive atoms into a straight-line slot program.
 
-    Replicates ``apply_prims``'s fixpoint: repeatedly schedule every
-    primitive whose inputs are bound; an output may bind a fresh slot.
-    Returns a runner ``regs -> bool`` (True iff every guard passed), or
-    ``None`` when some primitive's inputs can never be bound — the
-    interpreted engine fails every match of such an unsafe query, so
-    callers must treat ``None`` as "no matches".
+    Evaluates to a fixpoint: repeatedly schedule every primitive whose
+    inputs are bound; an output may bind a fresh slot.  Returns a runner
+    ``regs -> bool`` (True iff every guard passed), or ``None`` when some
+    primitive's inputs can never be bound — such an unsafe query fails
+    every match, so callers must treat ``None`` as "no matches".
     """
     steps: List[PrimStep] = []
     bound = set(bound_slots)
@@ -286,12 +316,12 @@ class _IndexedStep:
 
 
 class CompiledIndexedQuery:
-    """Positional index-nested-loop executor for one rule's query.
+    """Positional index-nested-loop executor for one query.
 
     Per-atom step structures are cached keyed by ``(delta_atom, order)``:
-    the greedy atom order still consults live table sizes (exactly like the
-    interpreted strategy), but once an order has been seen its column-role
-    resolution is never repeated.
+    the greedy atom order (:func:`plan_order`) still consults live table
+    sizes, but once an order has been seen its column-role resolution is
+    never repeated.
     """
 
     def __init__(
@@ -394,8 +424,7 @@ class CompiledIndexedQuery:
             if not entry:
                 return
             # Snapshot the entry: the index is live (incrementally
-            # maintained) and deeper steps may trigger table reads; the
-            # interpreted strategy snapshots for the same reason.
+            # maintained) and deeper steps may trigger table reads.
             candidates = list(entry)
         else:
             candidates = list(table.data.keys())
@@ -506,13 +535,10 @@ class CompiledGenericQuery:
         slot_of: Dict[str, int],
         n_slots: int,
         registry: PrimitiveRegistry,
-        *,
-        use_indexes: bool = True,
     ) -> None:
         self.query = query
         self.slot_of = slot_of
         self.n_slots = n_slots
-        self.use_indexes = use_indexes
         self.prim_runner = compile_prims(
             query.prims, slot_of, _table_bound_slots(query, slot_of), registry
         )
@@ -524,9 +550,8 @@ class CompiledGenericQuery:
             _GenericAtom(atom, spec, plan.var_rank)
             for atom, spec in zip(query.atoms, plan.specs)
         )
-        # Ascending atom order per depth, matching the interpreted
-        # executor's `range(n_atoms)` relevance scan (min() tie-breaks on
-        # the first atom in that order).
+        # Ascending atom order per depth (the size comparison in
+        # ``_descend`` tie-breaks on the first atom in that order).
         self.involved = tuple(
             tuple(
                 index
@@ -546,7 +571,7 @@ class CompiledGenericQuery:
         since: int,
     ) -> Optional[Dict]:
         """The sub-trie this atom contributes, or None when it is empty."""
-        if self.use_indexes and ga.spec is not None:
+        if ga.spec is not None:
             trie = table.trie(ga.spec.order)
             if trie is not None:
                 root = trie.delta_root(since) if restrict else trie.root
@@ -662,8 +687,7 @@ class CompiledGenericQuery:
         saved = [nodes[index] for index in involved]
         at_leaf = next_depth == len(self.depth_slots)
         prim_runner = None if self.no_prims else self.prim_runner
-        # Snapshot the iterated level: persistent tries are live structures
-        # (same reason the interpreted strategies snapshot candidates).
+        # Snapshot the iterated level: persistent tries are live structures.
         for value in list(nodes[smallest]):
             ok = True
             for position, index in enumerate(involved):

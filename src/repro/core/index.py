@@ -1,12 +1,14 @@
 """Persistent, incrementally-maintained column-trie indexes.
 
-The per-execution nested-dict tries that generic join used to build
-(``repro.core.genericjoin``) cost O(|table|) per atom per rule execution —
-every iteration re-projected and re-hashed rows that had not changed.  This
-module makes those tries *persistent*: a :class:`TrieIndex` is owned by a
-:class:`~repro.core.database.Table`, registered once per column ordering,
-and maintained incrementally on every insert, delete, and canonicalizing
-rewrite performed during rebuilding.
+A nested-dict trie that the generic-join executor
+(:class:`repro.core.compile.CompiledGenericQuery`) builds per execution
+costs O(|table|) per atom — every iteration re-projects and re-hashes rows
+that have not changed.  This module makes those tries *persistent*: a
+:class:`TrieIndex` is owned by a :class:`~repro.core.database.Table`,
+registered once per column ordering, and maintained incrementally on every
+insert, delete, and canonicalizing rewrite performed during rebuilding.
+The executor descends a registered trie where one exists and builds its
+own otherwise (one-off queries, repeated variables).
 
 Two ideas carry the subsystem:
 

@@ -30,10 +30,16 @@ registry, so an id cannot be reused while any entry for it is alive, and
 registering a new primitive overload bumps the version, orphaning plans
 that may have scheduled the old resolution.
 
+One-off queries (``EGraph.search``) build a :class:`CompiledPlan`
+directly instead of going through the cache: a served ``lookup`` sends
+many distinct ground checks, and caching them would fill the LRU with
+single-use plans and skew its hit rate.
+
 Thread safety: the cache itself is lock-protected, and the cached plan
 objects are safe to *use* concurrently — their only mutation is the
-idempotent, last-write-wins ``_steps_cache`` build inside the compiled
-queries (keyed by table arity, value identical for a given key).
+idempotent, last-write-wins ``_steps_cache`` build inside the indexed
+executor (keyed by ``(delta atom, atom order)``, value identical for a
+given key).
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ PlanKey = Tuple[str, int, int, str]
 
 
 class CompiledPlan:
-    """The engine-independent half of a rule executor (see module docs)."""
+    """The engine-independent half of a rule executor (see module docs);
+    also the whole executor of a one-off query."""
 
     __slots__ = ("slot_of", "slot_names", "n_slots", "query_exec", "registry")
 
@@ -66,13 +73,7 @@ class CompiledPlan:
                 query, slot_of, self.n_slots, registry
             )
         elif strategy == "generic":
-            self.query_exec = CompiledGenericQuery(
-                query, slot_of, self.n_slots, registry, use_indexes=True
-            )
-        elif strategy == "generic-adhoc":
-            self.query_exec = CompiledGenericQuery(
-                query, slot_of, self.n_slots, registry, use_indexes=False
-            )
+            self.query_exec = CompiledGenericQuery(query, slot_of, self.n_slots, registry)
         else:
             raise EGraphError(f"no compiled executor for strategy {strategy!r}")
         #: Strong reference pinning the registry for this entry's lifetime —

@@ -24,20 +24,20 @@ expressions and an e-graph engine whose rewrites are rules):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.builtins import PrimitiveRegistry, default_registry
 from ..core.database import Table
-from ..core.genericjoin import search_generic, search_generic_adhoc
 from ..core.index import plan_query
 from ..core.proofs import EXPLICIT, Explanation, Justification
-from ..core.query import Query, Substitution, search_indexed
+from ..core.query import Query, Substitution
 from ..core.schema import MERGE_ERROR, MERGE_UNION, FunctionDecl, RunReport
 from ..core.terms import Term, TermApp, TermLit, TermLike, TermVar, as_term
 from ..core.unionfind import UnionFind
 from ..core.values import BUILTIN_SORTS, UNIT, UNIT_VALUE, EqSort, Sort, Value, from_python
 from .actions import Action, Delete, Expr, Let, Set, Union
 from .budget import Budget
+from .compilecache import CompiledPlan
 from .errors import CheckError, EGraphError, ExtractError, MergeError
 from .program import RuleExec
 from .rebuild import rebuild as _rebuild
@@ -49,32 +49,19 @@ from .scheduler import Scheduler
 
 Key = Tuple[Value, ...]
 
-#: Signature shared by the search strategies (``search_generic`` takes an
-#: extra keyword, hence the permissive parameter spec).
-SearchFn = Callable[..., Iterator[Substitution]]
-
-#: Available join strategies for query search (Section 5.1: any relational
-#: join algorithm implements e-matching over the canonical database).
-SEARCH_STRATEGIES: Dict[str, SearchFn] = {
-    "indexed": search_indexed,
-    "generic": search_generic,
-    "generic-adhoc": search_generic_adhoc,
-}
-
-#: Strategies that consume the persistent column-trie indexes; the engine
-#: registers each compiled rule's orderings with the tables for these.
-_TRIE_INDEX_STRATEGIES = frozenset({"generic"})
+#: Available join strategies (Section 5.1: any relational join algorithm
+#: implements e-matching over the canonical database).  Each names one
+#: compiled executor in :mod:`repro.core.compile`.
+SEARCH_STRATEGIES: Tuple[str, ...] = ("indexed", "generic")
 
 
 class EGraph:
     """An egglog engine instance.
 
-    ``strategy`` selects the join algorithm used for rule search:
-    ``"indexed"`` (index-nested-loop, the default), ``"generic"``
-    (worst-case-optimal generic join over persistent incrementally
-    maintained trie indexes, as in relational e-matching), or
-    ``"generic-adhoc"`` (generic join rebuilding its tries on every
-    execution — the pre-index baseline kept for benchmarking).
+    ``strategy`` selects the join algorithm for rule search and one-off
+    queries alike: ``"indexed"`` (index-nested-loop, the default) or
+    ``"generic"`` (worst-case-optimal generic join over persistent
+    incrementally maintained trie indexes, as in relational e-matching).
 
     ``proofs`` (default True) keeps a proof forest alongside the union-find
     so :meth:`explain` can answer *why* two terms are equal; disable it to
@@ -153,10 +140,9 @@ class EGraph:
                 f"{sorted(SEARCH_STRATEGIES)}"
             )
         self._strategy = name
-        self._search_fn = SEARCH_STRATEGIES[name]
         #: True when rule search consumes persistent trie indexes; the
         #: engine then registers each compiled rule's orderings up front.
-        self.uses_trie_indexes = name in _TRIE_INDEX_STRATEGIES
+        self.uses_trie_indexes = name == "generic"
         if self.uses_trie_indexes:
             for rule in self.rules.values():
                 self.register_rule_indexes(rule)
@@ -463,13 +449,15 @@ class EGraph:
                 raise EGraphError(f"unbound variable {term.name!r} in term evaluation")
             return self.canonicalize(subst[term.name])
         if isinstance(term, TermApp):
+            decl = self.decls.get(term.func)
+            if decl is not None:
+                self._check_arity(decl, len(term.args), term)
             args: List[Value] = []
             for arg in term.args:
                 value = self.eval_term(arg, subst, insert=insert)
                 if value is None:
                     return None
                 args.append(self.canonicalize(value))
-            decl = self.decls.get(term.func)
             if decl is not None:
                 return self._apply_function(decl, tuple(args), insert)
             result = self.registry.call(term.func, tuple(args))
@@ -787,21 +775,32 @@ class EGraph:
 
     # -- querying / checking --------------------------------------------------
 
-    def search(
-        self, query: Query, *, delta_atom: Optional[int] = None, since: int = 0
-    ) -> Iterator[Substitution]:
-        """Run a compiled conjunctive query with the configured join strategy."""
-        return self._search_fn(
-            self.tables, self.registry, query, delta_atom=delta_atom, since=since
-        )
+    def search(self, query: Query) -> List[Substitution]:
+        """Every match of ``query`` under the engine's strategy.
+
+        The query runs through the same compiled executor as a rule's full
+        search.  Its plan is built here rather than taken from the
+        process-wide plan cache, which keeps single-use plans (e.g. ground
+        checks) from crowding out rule plans.
+        """
+        plan = CompiledPlan(query, self._strategy, self.registry)
+        matches: List[Tuple[Value, ...]] = []
+        plan.query_exec.search(self.tables, None, 0, matches.append)  # type: ignore[attr-defined]
+        names = plan.slot_names
+        return [dict(zip(names, match)) for match in matches]
 
     def _validate_symbols(self, query: Query, context: str) -> None:
-        """Reject symbols that are neither declared functions nor primitives.
+        """Reject symbols that are neither declared functions nor primitives,
+        and table atoms of the wrong arity.
 
         Flattening routes unknown applications to the primitive path, where
         they would silently match nothing — a typo'd function name must be
         an error instead.
         """
+        for table_atom in query.atoms:
+            decl = self.decls.get(table_atom.func)
+            if decl is not None:
+                self._check_arity(decl, len(table_atom.args), context)
         for atom in query.prims:
             if atom.op not in self.registry:
                 raise EGraphError(
@@ -824,10 +823,10 @@ class EGraph:
                 terms = [action.lhs, action.rhs]
             elif isinstance(action, Set):
                 self._require_table(action.call.func, context)
-                terms = list(action.call.args) + [action.value]
+                terms = [action.call, action.value]
             elif isinstance(action, Delete):
                 self._require_table(action.call.func, context)
-                terms = list(action.call.args)
+                terms = [action.call]
             elif isinstance(action, Expr):
                 terms = [action.expr]
             for term in terms:
@@ -837,9 +836,23 @@ class EGraph:
         if name not in self.decls:
             raise EGraphError(f"{context} targets unknown function {name!r}")
 
+    @staticmethod
+    def _check_arity(decl: FunctionDecl, n_args: int, context: object) -> None:
+        """Reject an application of ``decl`` to the wrong number of
+        arguments; ``context`` (a description or the term itself) is only
+        formatted on error."""
+        if n_args != decl.arity:
+            raise EGraphError(
+                f"{context}: {decl.name!r} expects {decl.arity} argument(s), "
+                f"got {n_args}"
+            )
+
     def _validate_term_symbols(self, term: Term, context: str) -> None:
         if isinstance(term, TermApp):
-            if term.func not in self.decls and term.func not in self.registry:
+            decl = self.decls.get(term.func)
+            if decl is not None:
+                self._check_arity(decl, len(term.args), context)
+            elif term.func not in self.registry:
                 raise EGraphError(
                     f"{context} uses unknown symbol {term.func!r} "
                     f"(neither a declared function nor a primitive)"
@@ -852,7 +865,7 @@ class EGraph:
         self._ensure_canonical()
         compiled = compile_facts(list(facts), self.is_table)
         self._validate_symbols(compiled, "query")
-        return [dict(match) for match in self.search(compiled)]
+        return self.search(compiled)
 
     def check(self, *facts: Fact) -> int:
         """Require at least one match for ``facts`` (the ``check`` command).

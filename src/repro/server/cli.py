@@ -22,6 +22,7 @@ import signal
 import sys
 from typing import List, Optional
 
+from ..engine import SEARCH_STRATEGIES
 from ..session import SessionError, SessionManager
 from .app import App
 from .http import serve
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy",
         default="indexed",
-        choices=("indexed", "generic", "generic-adhoc"),
+        choices=SEARCH_STRATEGIES,
         help="join strategy for every engine (default %(default)s)",
     )
     parser.add_argument(

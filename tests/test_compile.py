@@ -1,17 +1,22 @@
 """The compiled hot path: slot plans, action programs, cache invalidation.
 
 Covers the compilation layer (``repro.core.compile`` +
-``repro.engine.program``): compiled searches must agree with the
-interpreted strategies match-for-match, compiled action programs must agree
-with ``run_actions``, and every event that can strand a stale plan — a rule
+``repro.engine.program``): compiled searches must agree with the naive
+oracle in ``tests/reference.py``, compiled action programs must agree with
+``run_actions``, and every event that can strand a stale plan — a rule
 edited through a ruleset, push/pop around a compiled run, a strategy switch
 mid-session — must recompile (no stale-slot reads).
+
+``"generic-adhoc"`` is the benchmark baseline engine
+(:func:`repro.bench.runner.bench_engine`): the generic executor with no
+registered tries.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.runner import bench_engine
 from repro.core.compile import assign_slots
 from repro.core.database import Row, Table
 from repro.core.schema import FunctionDecl
@@ -21,11 +26,13 @@ from repro.engine import EGraph, EGraphError, Rule
 from repro.engine.actions import Delete, Expr, Let, Panic, Set, Union, run_actions
 from repro.engine.rule import compile_facts
 
+from .reference import evaluate
+
 STRATEGIES = ["indexed", "generic", "generic-adhoc"]
 
 
 def tc_engine(strategy="indexed", edges=((1, 2), (2, 3), (3, 4), (1, 3))):
-    eg = EGraph(strategy=strategy)
+    eg = bench_engine(strategy)
     eg.relation("edge", (I64, I64))
     eg.relation("path", (I64, I64))
     eg.add_rules(
@@ -63,22 +70,22 @@ def test_assign_slots_table_vars_first_then_prim_vars():
     assert len(names) == len(set(names)) == len(slot_of)
 
 
-# -- compiled search vs interpreted search ------------------------------------
+# -- compiled search vs the naive oracle --------------------------------------
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_compiled_search_matches_interpreted(strategy):
     eg = tc_engine(strategy)
     eg.run(10)
-    # The public query path stays on the interpreted strategies; the
-    # scheduler's searches ran compiled.  Both must see the same closure.
     matches = eg.query(App("path", V("a"), V("b")))
     assert len(matches) == len(path_rows(eg))
     rule = eg.rules["step"]
     exec_ = eg.rule_exec(rule)
-    compiled = {exec_.substitution(m)["x"] for m in exec_.search_full(eg.tables)}
-    interpreted = {m["x"] for m in eg.search(rule.query)}
-    assert compiled == interpreted
+    compiled = sorted(
+        sorted(exec_.substitution(m).items()) for m in exec_.search_full(eg.tables)
+    )
+    oracle = sorted(sorted(m.items()) for m in evaluate(eg.tables, eg.registry, rule.query))
+    assert compiled == oracle
 
 
 def test_all_strategies_agree_on_closure():
@@ -121,8 +128,8 @@ def eqf(name, term):
 def test_unsafe_prim_query_matches_nothing_compiled_and_interpreted():
     eg = EGraph()
     eg.relation("n", (I64,))
-    # "y" is never bound by any atom or primitive output: the interpreted
-    # engine fails every match; the compiled plan must do the same.
+    # "y" is never bound by any atom or primitive output: the oracle fails
+    # every match; the compiled plan must do the same.
     eg.add_rule(
         Rule(
             name="unsafe",
@@ -133,7 +140,8 @@ def test_unsafe_prim_query_matches_nothing_compiled_and_interpreted():
     eg.add(App("n", 1))
     report = eg.run(3)
     assert report.per_rule_matches["unsafe"] == 0
-    assert list(eg.search(eg.rules["unsafe"].query)) == []
+    query = eg.rules["unsafe"].query
+    assert eg.search(query) == evaluate(eg.tables, eg.registry, query) == []
 
 
 # -- compiled action programs vs run_actions ----------------------------------
@@ -300,6 +308,19 @@ def test_push_pop_across_compiled_run(strategy):
     assert (1, 6) in path_rows(eg)
 
 
+@pytest.mark.parametrize("strategy", ["indexed", "generic"])
+def test_one_off_queries_never_touch_the_plan_cache(strategy):
+    from repro.engine.compilecache import CACHE
+
+    eg = tc_engine(strategy, edges=[(n, n + 1) for n in range(15)])
+    eg.run(20)  # every rule's plan is now cached
+    before = CACHE.stats()
+    pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)][:100]
+    for a, b in pairs:
+        assert eg.check(App("path", a, b)) == 1
+    assert CACHE.stats() == before
+
+
 def test_strategy_switch_mid_session_recompiles():
     eg = tc_engine("indexed")
     eg.run(3)
@@ -346,7 +367,7 @@ def test_invalidation_interleavings_agree_across_strategies(ops):
     engines = [tc_engine("indexed", edges=()), tc_engine("generic", edges=())]
     depth = 0
     edited = False
-    toggle = ["indexed", "generic-adhoc"]
+    toggle = ["indexed", "generic"]
     for op in ops:
         if op[0] == "edge":
             for eg in engines:

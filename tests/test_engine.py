@@ -278,6 +278,49 @@ def test_check_and_query_on_facts():
         eg.query(App("edgez", V("x"), V("y")))
 
 
+@pytest.mark.parametrize("strategy", ["indexed", "generic"])
+def test_wrong_arity_atoms_and_terms_are_rejected(strategy):
+    eg = EGraph(strategy=strategy)
+    eg.relation("edge", (I64, I64))
+    eg.function("dist", (I64, I64), I64, merge="min")
+    eg.add(App("edge", 1, 2))
+    before = eg.stats()
+    bad_calls = [
+        lambda: eg.check(App("edge", L(1))),
+        lambda: eg.query(App("edge", V("x"), V("y"), V("z"))),
+        lambda: eg.add(App("edge", 5)),
+        lambda: eg.lookup(App("edge", 1, 2, 3)),
+        lambda: eg.union(App("edge", 1, 2), App("edge", 1)),
+        lambda: eg.add_rule(Rule(name="short-body", facts=[App("edge", V("x"))], actions=[])),
+        lambda: eg.add_rule(
+            Rule(
+                name="short-head",
+                facts=[App("edge", V("x"), V("y"))],
+                actions=[Expr(App("edge", V("x")))],
+            )
+        ),
+        lambda: eg.add_rule(
+            Rule(
+                name="short-set",
+                facts=[App("edge", V("x"), V("y"))],
+                actions=[Set(App("dist", V("x")), L(1))],
+            )
+        ),
+        lambda: eg.add_rule(
+            Rule(
+                name="long-delete",
+                facts=[App("edge", V("x"), V("y"))],
+                actions=[Delete(App("edge", V("x"), V("y"), V("y")))],
+            )
+        ),
+    ]
+    for call in bad_calls:
+        with pytest.raises(EGraphError, match=r"'(edge|dist)' expects 2 argument\(s\), got"):
+            call()
+    assert eg.stats() == before  # nothing inserted, no rule half-registered
+    assert eg.check(App("edge", V("x"), V("y"))) == 1
+
+
 def test_typoed_symbols_in_actions_rejected_at_registration():
     eg = EGraph()
     eg.relation("edge", (I64, I64))

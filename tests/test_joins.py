@@ -1,15 +1,49 @@
-"""Both join strategies must agree — hand-picked queries and random fuzz."""
+"""Every compiled join executor must agree with the naive oracle in
+``tests/reference.py`` — hand-picked queries and random fuzz.
+
+Three configurations are checked: the index-nested-loop executor, the
+generic-join executor building its tries per search, and the generic-join
+executor descending tries registered on the tables beforehand.
+"""
 
 import pytest
 
 from repro.core.builtins import default_registry
 from repro.core.database import Table
-from repro.core.genericjoin import search_generic
-from repro.core.query import PrimAtom, Query, QVar, TableAtom, search_indexed
+from repro.core.index import plan_query
+from repro.core.query import PrimAtom, Query, QVar, TableAtom
 from repro.core.schema import FunctionDecl
-from repro.core.values import UNIT, UNIT_VALUE, i64
+from repro.core.values import I64, UNIT, UNIT_VALUE, i64
+from repro.engine.compilecache import CompiledPlan
 
-STRATEGIES = [search_indexed, search_generic]
+from .reference import evaluate
+
+
+def _run(strategy, tables, registry, query, delta_atom, since):
+    plan = CompiledPlan(query, strategy, registry)
+    out = []
+    plan.query_exec.search(tables, delta_atom, since, out.append)
+    return [dict(zip(plan.slot_names, match)) for match in out]
+
+
+def search_indexed(tables, registry, query, delta_atom=None, since=0):
+    return _run("indexed", tables, registry, query, delta_atom, since)
+
+
+def search_generic(tables, registry, query, delta_atom=None, since=0):
+    """Generic join with no registered tries: every trie is built per search."""
+    return _run("generic", tables, registry, query, delta_atom, since)
+
+
+def search_generic_tries(tables, registry, query, delta_atom=None, since=0):
+    """Generic join over persistent tries, registered the way rules do."""
+    for atom, spec in zip(query.atoms, plan_query(query).specs):
+        if spec is not None and atom.func in tables:
+            tables[atom.func].ensure_trie(spec.order)
+    return _run("generic", tables, registry, query, delta_atom, since)
+
+
+STRATEGIES = [search_indexed, search_generic, search_generic_tries]
 
 
 def edge_table(edges, timestamps=None):
@@ -40,10 +74,27 @@ def solutions(matches):
     )
 
 
+def _canonical(matches):
+    return sorted(
+        tuple(sorted((name, value.sort, value.data) for name, value in match.items()))
+        for match in matches
+    )
+
+
+def agrees_with_oracle(search, tables, query, delta_atom=None, since=0):
+    """Run ``search`` and the oracle on the same database; return the
+    executor's matches after asserting both sides found the same set."""
+    registry = default_registry()
+    expected = _canonical(evaluate(tables, registry, query, delta_atom, since))
+    matches = search(tables, registry, query, delta_atom=delta_atom, since=since)
+    assert _canonical(matches) == expected
+    return matches
+
+
 @pytest.mark.parametrize("search", STRATEGIES)
 def test_triangle_query_finds_all_cycles(search):
     tables = {"edge": edge_table(EDGES)}
-    result = solutions(search(tables, default_registry(), triangle_query()))
+    result = solutions(agrees_with_oracle(search, tables, triangle_query()))
     # 1-2-3 rotations, 2-4 two-cycles are not triangles unless closed, the
     # 4-5-6 cycle's rotations, and the 1-1 self-loop triangle.
     assert (1, 2, 3) in result
@@ -54,11 +105,12 @@ def test_triangle_query_finds_all_cycles(search):
 
 
 def test_strategies_agree_exactly():
-    tables = {"edge": edge_table(EDGES)}
-    indexed = solutions(search_indexed(tables, default_registry(), triangle_query()))
-    generic = solutions(search_generic(tables, default_registry(), triangle_query()))
-    assert indexed == generic
-    assert len(indexed) == len(set(indexed))  # no duplicate matches
+    results = [
+        solutions(agrees_with_oracle(search, {"edge": edge_table(EDGES)}, triangle_query()))
+        for search in STRATEGIES
+    ]
+    assert results[0] == results[1] == results[2]
+    assert len(results[0]) == len(set(results[0]))  # no duplicate matches
 
 
 @pytest.mark.parametrize("search", STRATEGIES)
@@ -68,12 +120,12 @@ def test_delta_restriction_only_matches_new_rows(search):
     stamps = [0, 0, 0, 1, 1, 1]
     tables = {"edge": edge_table(edges, stamps)}
     new_only = solutions(
-        search(tables, default_registry(), triangle_query(), delta_atom=0, since=1)
+        agrees_with_oracle(search, tables, triangle_query(), delta_atom=0, since=1)
     )
     assert all(a in (7, 8, 9) for a, _, _ in new_only)
     assert (7, 8, 9) in new_only
     everything = solutions(
-        search(tables, default_registry(), triangle_query(), delta_atom=0, since=0)
+        agrees_with_oracle(search, tables, triangle_query(), delta_atom=0, since=0)
     )
     assert (1, 2, 3) in everything and (7, 8, 9) in everything
 
@@ -83,7 +135,7 @@ def test_primitive_guards_filter_matches(search):
     tables = {"edge": edge_table(EDGES)}
     query = triangle_query()
     query.prims.append(PrimAtom("<", (QVar("x"), QVar("y")), None))
-    result = solutions(search(tables, default_registry(), query))
+    result = solutions(agrees_with_oracle(search, tables, query))
     assert result and all(x < y for x, y, _ in result)
 
 
@@ -94,20 +146,35 @@ def test_primitive_binders_extend_bindings(search):
         atoms=[TableAtom("edge", (QVar("x"), QVar("y")), QVar("_o"))],
         prims=[PrimAtom("+", (QVar("x"), QVar("y")), QVar("s"))],
     )
-    matches = list(search(tables, default_registry(), query))
+    matches = agrees_with_oracle(search, tables, query)
     assert len(matches) == 1
     assert matches[0]["s"] == i64(3)
 
 
 @pytest.mark.parametrize("search", STRATEGIES)
+def test_repeated_variables_and_constants(search):
+    tables = {"edge": edge_table(EDGES)}
+    x = QVar("x")
+    self_loops = Query(atoms=[TableAtom("edge", (x, x), QVar("_o"))])
+    assert [m["x"] for m in agrees_with_oracle(search, tables, self_loops)] == [i64(1)]
+    # A constant in one atom and a variable repeated across two.
+    two_hops = Query(
+        atoms=[
+            TableAtom("edge", (i64(2), x), QVar("_o1")),
+            TableAtom("edge", (x, x), QVar("_o2")),
+        ]
+    )
+    assert agrees_with_oracle(search, tables, two_hops) == []
+
+
+@pytest.mark.parametrize("search", STRATEGIES)
 def test_missing_table_means_no_matches(search):
-    query = triangle_query()
-    assert list(search({}, default_registry(), query)) == []
+    assert agrees_with_oracle(search, {}, triangle_query()) == []
 
 
 # ---------------------------------------------------------------------------
-# Fuzz equivalence: random conjunctive queries over random small databases
-# must return identical substitution sets from both join strategies.
+# Fuzz: random conjunctive queries over random small databases must return
+# exactly the oracle's substitution set under every configuration.
 # ---------------------------------------------------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -117,67 +184,84 @@ _VARS = ["x", "y", "z", "w"]
 _VALUES = list(range(5))
 
 
+def _column(draw, fresh):
+    """A variable shared across atoms, a constant, or ``fresh`` (if given)."""
+    kinds = ["var", "const"] + (["fresh"] if fresh is not None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return QVar(draw(st.sampled_from(_VARS)))
+    if kind == "const":
+        return i64(draw(st.sampled_from(_VALUES)))
+    return fresh
+
+
 @st.composite
 def database_and_query(draw):
-    """A random multi-relation database plus a random conjunctive query."""
-    tables = {}
-    arities = {}
-    for name in ("r", "s"):
-        arity = draw(st.integers(1, 2))
-        arities[name] = arity
-        table = Table(FunctionDecl(name, ("i64",) * arity, UNIT))
-        rows = draw(
+    """Rows for a relation ``r`` and an i64-valued function ``f``, plus a
+    random query over them: constants and repeated variables in any column,
+    primitive guards and binders, and an optional delta atom."""
+    arities = {name: draw(st.integers(1, 2)) for name in ("r", "f")}
+    rows = {}
+    for name, arity in arities.items():
+        keys = draw(
             st.lists(
-                st.tuples(*([st.sampled_from(_VALUES)] * arity)),
-                max_size=12,
-                unique=True,
+                st.tuples(*([st.sampled_from(_VALUES)] * arity)), max_size=10, unique=True
             )
         )
-        for timestamp, row in enumerate(rows):
-            table.put(tuple(i64(v) for v in row), UNIT_VALUE, timestamp % 3)
-        tables[name] = table
+        rows[name] = (
+            arity,
+            [
+                (key, draw(st.sampled_from(_VALUES)) if name == "f" else None, index % 3)
+                for index, key in enumerate(keys)
+            ],
+        )
 
     query = Query()
-    n_atoms = draw(st.integers(1, 3))
-    for index in range(n_atoms):
-        name = draw(st.sampled_from(["r", "s"]))
-        args = tuple(
-            QVar(draw(st.sampled_from(_VARS)))
-            if draw(st.booleans())
-            else i64(draw(st.sampled_from(_VALUES)))
-            for _ in range(arities[name])
-        )
-        query.atoms.append(TableAtom(name, args, QVar(f"_o{index}")))
-    # Optionally add a primitive guard over two variables the atoms bind.
-    bound = sorted(query.table_variables() - {f"_o{i}" for i in range(n_atoms)})
+    for index in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["r", "f"]))
+        args = tuple(_column(draw, None) for _ in range(arities[name]))
+        if name == "f":
+            out = _column(draw, QVar(f"_o{index}"))
+        else:
+            out = draw(st.sampled_from([QVar(f"_o{index}"), UNIT_VALUE]))
+        query.atoms.append(TableAtom(name, args, out))
+    bound = sorted(v for v in query.table_variables() if not v.startswith("_"))
     if bound and draw(st.booleans()):
         op = draw(st.sampled_from(["<", "<=", "!="]))
-        a = draw(st.sampled_from(bound))
-        b = draw(st.sampled_from(bound))
+        a, b = draw(st.sampled_from(bound)), draw(st.sampled_from(bound))
         query.prims.append(PrimAtom(op, (QVar(a), QVar(b)), None))
-    delta = draw(st.sampled_from([None, 0]))
+    if bound and draw(st.booleans()):
+        out = draw(
+            st.sampled_from([QVar("s"), QVar(draw(st.sampled_from(bound))), i64(4)])
+        )
+        a, b = draw(st.sampled_from(bound)), draw(st.sampled_from(bound))
+        query.prims.append(PrimAtom("+", (QVar(a), QVar(b)), out))
+    delta = draw(st.sampled_from([None] + list(range(len(query.atoms)))))
     since = draw(st.integers(0, 2)) if delta is not None else 0
-    return tables, query, delta, since
+    return rows, query, delta, since
 
 
-def _canonical(matches):
-    return sorted(
-        tuple(sorted((name, value.data) for name, value in match.items()))
-        for match in matches
-    )
+def build_tables(rows):
+    tables = {}
+    for name, (arity, entries) in rows.items():
+        out = UNIT if name == "r" else I64
+        table = Table(FunctionDecl(name, (I64,) * arity, out))
+        for key, value, timestamp in entries:
+            output = UNIT_VALUE if value is None else i64(value)
+            table.put(tuple(i64(v) for v in key), output, timestamp)
+        tables[name] = table
+    return tables
 
 
-@settings(max_examples=120)
+@settings(max_examples=300, deadline=None)
 @given(case=database_and_query())
 def test_fuzz_random_queries_strategies_agree(case):
-    tables, query, delta, since = case
-    registry = default_registry()
-    indexed = _canonical(
-        search_indexed(tables, registry, query, delta_atom=delta, since=since)
-    )
-    generic = _canonical(
-        search_generic(tables, registry, query, delta_atom=delta, since=since)
-    )
-    assert indexed == generic
-    # The functional database admits no duplicate substitutions.
-    assert len(indexed) == len(set(indexed))
+    rows, query, delta, since = case
+    for search in STRATEGIES:
+        # A fresh database per configuration: registering tries must not
+        # leak into the per-search-trie configuration.
+        matches = _canonical(
+            agrees_with_oracle(search, build_tables(rows), query, delta, since)
+        )
+        # The functional database admits no duplicate substitutions.
+        assert len(matches) == len(set(matches))

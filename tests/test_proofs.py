@@ -9,6 +9,7 @@ declared functions, and current equivalences.
 
 import pytest
 
+from repro.bench.runner import bench_engine
 from repro.core.proofs import (
     EXPLICIT,
     Justification,
@@ -21,6 +22,7 @@ from repro.core.unionfind import UnionFind
 from repro.engine import EGraph, EGraphError, Rule, Set, rewrite
 from repro.engine.actions import Union as UnionAction
 
+#: ``generic-adhoc`` is the benchmark baseline engine (``bench_engine``).
 STRATEGIES = ("indexed", "generic", "generic-adhoc")
 
 
@@ -176,7 +178,7 @@ def add(a, b):
 
 
 def math_engine(strategy="indexed", proofs=True):
-    eg = EGraph(strategy=strategy, proofs=proofs)
+    eg = bench_engine(strategy) if proofs else EGraph(strategy=strategy, proofs=False)
     eg.declare_sort("Math")
     eg.constructor("Num", ("i64",), "Math")
     eg.constructor("Add", ("Math", "Math"), "Math")
@@ -196,7 +198,7 @@ def test_explain_rule_step_names_the_rule(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_explain_congruence_step_names_the_function(strategy):
-    eg = EGraph(strategy=strategy)
+    eg = bench_engine(strategy)
     eg.declare_sort("V")
     eg.constructor("Leaf", ("i64",), "V")
     eg.constructor("F", ("V",), "V")

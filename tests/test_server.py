@@ -291,6 +291,48 @@ def test_http_error_statuses(server):
         conn.close()
 
 
+@pytest.mark.parametrize("strategy", ["indexed", "generic"])
+def test_http_wrong_arity_ops_answer_422_and_roll_back(strategy):
+    live = LiveServer(strategy=strategy)
+    try:
+        live.request("POST", "/bases", {"name": "tc", "program": TC_PROGRAM})
+        _, body = live.request("POST", "/sessions", {"base": "tc"})
+        program = f"/sessions/{body['session']['id']}/program"
+        _, before = live.request("POST", program, {"ops": [{"op": "stats"}]})
+        edge_1 = ["a", "edge", [["l", ["i64", 1]]]]
+        edge_6_7 = ["a", "edge", [["l", ["i64", 6]], ["l", ["i64", 7]]]]
+        for ops in (
+            [{"op": "check", "facts": [edge_1]}],
+            # The valid first add is rolled back with the failing second.
+            [{"op": "add", "term": edge_6_7}, {"op": "add", "term": edge_1}],
+            [{"op": "rule", "facts": [["a", "edge", [["v", "x"]]]], "actions": []}],
+        ):
+            status, body = live.request("POST", program, {"ops": ops})
+            assert status == 422
+            assert "'edge' expects 2 argument(s), got 1" in body["error"]
+        _, after = live.request("POST", program, {"ops": [{"op": "stats"}]})
+        assert after["results"] == before["results"]
+        edge_x_y = ["a", "edge", [["v", "x"], ["v", "y"]]]
+        status, body = live.request("POST", program, {"ops": [{"op": "check", "facts": [edge_x_y]}]})
+        assert status == 200 and body["results"][0] == {"ok": True, "count": 4}
+    finally:
+        live.stop()
+
+
+def test_clis_offer_exactly_the_engine_strategies(capsys):
+    from repro.engine import SEARCH_STRATEGIES
+    from repro.frontend.cli import build_arg_parser
+    from repro.server.cli import build_parser
+
+    assert SEARCH_STRATEGIES == ("indexed", "generic")
+    for parser in (build_parser(), build_arg_parser()):
+        for strategy in SEARCH_STRATEGIES:
+            assert parser.parse_args(["--strategy", strategy]).strategy == strategy
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--strategy", "generic-adhoc"])  # bench-only baseline
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_http_snapshot_base(server, tmp_path):
     # Round-trip a base through a real snapshot file.
     from repro.frontend import Evaluator

@@ -23,7 +23,7 @@ from repro.core.terms import App, V  # noqa: E402
 from repro.engine import EGraph  # noqa: E402
 from repro.serialize import dumps_document, engine_document, engine_from_document  # noqa: E402
 
-STRATEGIES = ["indexed", "generic", "generic-adhoc"]
+STRATEGIES = ["indexed", "generic"]
 
 # One step of a session: (op, payload). Numbers index into a small term
 # pool so unions/adds collide often enough to exercise congruence.
