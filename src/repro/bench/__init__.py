@@ -7,12 +7,11 @@ PR measurable:
 * :mod:`repro.bench.workloads` — parameterized workload generators
   (transitive closure on chain/random/grid graphs, math rewriting at
   growing depths, congruence-closure stress).
-* :mod:`repro.bench.runner` — runs each workload under several engine
-  variants (persistent-index generic join, the per-execution-trie baseline,
-  index-nested-loop), times the search/apply/rebuild phases via
+* :mod:`repro.bench.runner` — runs each workload under both engine
+  strategies (generic join over maintained tries, index-nested-loop),
+  times the search/apply/rebuild phases via
   :class:`~repro.core.schema.RunReport`, and emits one schema-stable
-  ``BENCH_<name>.json`` per workload, including the index-vs-baseline
-  comparison.
+  ``BENCH_<name>.json`` per workload.
 
 * :mod:`repro.bench.compare` — the regression gate: compares fresh BENCH
   medians against the committed files and fails past a tolerance factor

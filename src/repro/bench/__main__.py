@@ -5,7 +5,7 @@ Examples::
     python -m repro.bench                 # full suite, 3 repeats, cwd output
     python -m repro.bench --quick         # CI-smoke sizes, 1 repeat
     python -m repro.bench --only tc       # transitive-closure workloads only
-    python -m repro.bench --variants generic-index,generic-adhoc
+    python -m repro.bench --variants generic-index
     python -m repro.bench --profile --only math   # cProfile instead of timing
 """
 
@@ -62,8 +62,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--variants",
         default=None,
         metavar="NAMES",
-        help="comma-separated variant subset of: "
-        + ", ".join(sorted(DEFAULT_VARIANTS)),
+        help="comma-separated subset of the engine variants "
+        + ", ".join(sorted(DEFAULT_VARIANTS))
+        + " (each names one join strategy)",
     )
     parser.add_argument(
         "--list",

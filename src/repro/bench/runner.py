@@ -9,11 +9,9 @@ median over repeats — robust to one noisy run without needing many.
 
 One ``BENCH_<name>.json`` is written per workload.  The schema is stable
 (``schema`` key, fixed key set per level) so downstream tooling and future
-PRs can diff numbers without parsing churn.  The ``comparison`` block
-records the headline the index subsystem is accountable for: persistent
-incremental indexes (``generic-index``) versus the per-execution trie
-rebuild baseline (``generic-adhoc``) on the same workload.  The baseline
-is not an engine strategy; it is :class:`AdhocTrieEGraph`, defined here.
+PRs can diff numbers without parsing churn.  Each variant is one engine
+strategy: generic join over maintained column tries (``generic-index``)
+and the index-nested-loop join (``indexed``).
 """
 
 from __future__ import annotations
@@ -29,51 +27,20 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from .._version import package_version
 from ..engine import EGraph
-from ..engine.rule import CompiledRule
 from .workloads import Workload
 
 #: Schema identifier written into every BENCH file; bump on breaking change.
-#: v2: every variant and the comparison block report min/median/max over
-#: repeats (``run_s_stats``); headline numbers are medians.  Readers should
-#: stay tolerant of v1 files (no ``run_s_stats`` key).
+#: v2: every variant reports min/median/max over repeats
+#: (``run_s_stats``); headline numbers are medians.  Readers should stay
+#: tolerant of v1 files (no ``run_s_stats`` key).
 SCHEMA = "repro.bench/v2"
 
-#: Engine variants measured by default, each mapped to the engine it runs:
-#: the persistent-index generic join, its per-execution trie-rebuild
-#: baseline (bench-only, see :func:`bench_engine`), and the
-#: index-nested-loop join.
+#: Engine variants measured by default, each mapped to the engine
+#: strategy it runs.
 DEFAULT_VARIANTS: Dict[str, str] = {
     "generic-index": "generic",
-    "generic-adhoc": "generic-adhoc",
     "indexed": "indexed",
 }
-
-#: The headline comparison recorded in each BENCH file.
-BASELINE_VARIANT = "generic-adhoc"
-CANDIDATE_VARIANT = "generic-index"
-
-
-class AdhocTrieEGraph(EGraph):
-    """The ``generic-adhoc`` baseline: the ``generic`` strategy with no
-    persistent tries.
-
-    Registering no rule orderings leaves every table without tries, so the
-    generic executor builds each atom's trie per search — what the
-    persistent indexes are measured against.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(strategy="generic")
-
-    def register_rule_indexes(self, rule: CompiledRule) -> None:
-        pass
-
-
-def bench_engine(strategy: str) -> EGraph:
-    """A fresh engine for a variant's strategy (``generic-adhoc`` included)."""
-    if strategy == "generic-adhoc":
-        return AdhocTrieEGraph()
-    return EGraph(strategy=strategy)
 
 
 @contextmanager
@@ -97,7 +64,7 @@ def gc_paused() -> Iterator[None]:
 
 def _run_once(workload: Workload, strategy: str) -> Dict[str, object]:
     """One cold run of ``workload`` on a fresh engine; returns raw numbers."""
-    egraph = bench_engine(strategy)
+    egraph = EGraph(strategy=strategy)
     with gc_paused():
         start = time.perf_counter()
         workload.setup(egraph)
@@ -179,7 +146,7 @@ def run_workload(
             "table_rows": median["table_rows"],
         }
 
-    document: Dict[str, object] = {
+    return {
         "schema": SCHEMA,
         "name": workload.name,
         "family": workload.family,
@@ -191,23 +158,6 @@ def run_workload(
         "proofs": True,
         "variants": measured,
     }
-    baseline = measured.get(BASELINE_VARIANT)
-    candidate = measured.get(CANDIDATE_VARIANT)
-    if baseline is not None and candidate is not None:
-        # Medians over the repeats, not any single run: one noisy repeat
-        # must not skew the headline comparison.
-        baseline_s = median_run_s(baseline)
-        candidate_s = median_run_s(candidate)
-        document["comparison"] = {
-            "baseline": BASELINE_VARIANT,
-            "candidate": CANDIDATE_VARIANT,
-            "baseline_run_s": baseline_s,
-            "candidate_run_s": candidate_s,
-            "baseline_run_s_stats": baseline["run_s_stats"],
-            "candidate_run_s_stats": candidate["run_s_stats"],
-            "speedup": (baseline_s / candidate_s) if candidate_s > 0 else None,
-        }
-    return document
 
 
 def profile_workload(
@@ -227,7 +177,7 @@ def profile_workload(
     import io
     import pstats
 
-    egraph = bench_engine(strategy)
+    egraph = EGraph(strategy=strategy)
     workload.setup(egraph)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -265,8 +215,5 @@ def run_suite(
             f"{variant}={entry['run_s'] * 1000:.1f}ms"
             for variant, entry in document["variants"].items()  # type: ignore[union-attr]
         )
-        comparison = document.get("comparison")
-        if isinstance(comparison, dict) and comparison.get("speedup"):
-            summary += f"  (index speedup over adhoc: {comparison['speedup']:.2f}x)"
         log(f"bench: {workload.name}: {summary} -> {path}")
     return paths

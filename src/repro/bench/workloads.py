@@ -11,7 +11,7 @@ Three families:
   canonical Datalog workload: ``path(x,z) :- path(x,y), edge(y,z)`` on
   chain, random (Erdős–Rényi-style), and grid graphs.  Many semi-naïve
   iterations over a growing ``path`` table: exactly the shape where
-  persistent indexes beat per-execution trie builds.
+  maintained indexes beat per-search trie builds.
 * **Math rewriting** (:func:`math_rewriting`) — equality saturation over a
   small arithmetic datatype (commutativity/associativity/identities) on a
   balanced expression of a given depth, run a bounded number of

@@ -12,7 +12,7 @@ These modules implement the building blocks the paper's engine is made of:
 * :mod:`repro.core.query` — conjunctive query data types
 * :mod:`repro.core.compile` — the compiled join executors: index-nested-loop
   and worst-case optimal generic join (relational e-matching)
-* :mod:`repro.core.index` — persistent column-trie indexes and query planning
+* :mod:`repro.core.index` — column-trie indexes and query planning
 * :mod:`repro.core.builtins` — primitive sorts and operations (Section 5.2)
 """
 

@@ -23,10 +23,12 @@ One executor per engine strategy:
   engine strategy).  The greedy atom order adapts to live table sizes via
   :func:`plan_order`; the per-atom step structures are cached keyed by the
   resulting order.
-* :class:`CompiledGenericQuery` — worst-case optimal generic join over the
-  tables' persistent trie indexes, building a trie per execution for any
-  atom whose ordering is not registered.  The per-depth sets of involved
-  atoms are fully static, so the descent does no per-node atom scanning.
+* :class:`CompiledGenericQuery` — worst-case optimal generic join.  Every
+  atom without a repeated variable descends its table's trie
+  (``Table.trie``: built on first use, then maintained on write), except
+  the delta atom, whose trie is built per search from the write log's new
+  rows.  The per-depth sets of involved atoms are fully static, so the
+  descent does no per-node atom scanning.
 
 Both support *delta* searches for semi-naïve evaluation: one designated
 atom is restricted to rows whose timestamp is at least ``since``.
@@ -487,12 +489,12 @@ _ROLE_CONST = 2
 class _GenericAtom:
     """Static per-atom data for the generic-join executor.
 
-    ``spec`` is the persistent-index access plan (None for repeated-variable
-    atoms).  ``roles`` drive the ad-hoc projection fallback with zero
-    per-row isinstance work: each entry is ``(role, payload)`` per column —
-    bind into a local projection slot, compare against an earlier local
-    slot, or compare against a constant.  ``permutation`` reorders the
-    projected row into the global variable-rank order for the trie build.
+    ``spec`` is the table-trie access plan (None for repeated-variable
+    atoms).  ``roles`` drive the per-search trie build with zero per-row
+    isinstance work: each entry is ``(role, payload)`` per column — bind
+    into a local projection slot, compare against an earlier local slot, or
+    compare against a constant.  ``permutation`` reorders the projected row
+    into the global variable-rank order for the trie build.
     """
 
     __slots__ = ("func", "spec", "sorted_vars", "roles", "permutation", "width")
@@ -570,14 +572,17 @@ class CompiledGenericQuery:
         restrict: bool,
         since: int,
     ) -> Optional[Dict]:
-        """The sub-trie this atom contributes, or None when it is empty."""
-        if ga.spec is not None:
-            trie = table.trie(ga.spec.order)
-            if trie is not None:
-                root = trie.delta_root(since) if restrict else trie.root
-                return descend_constants(root, ga.spec.const_values)
-        # Ad-hoc fallback: project rows through the precomputed column
-        # roles, building the trie directly in variable-rank order.
+        """The sub-trie this atom contributes, or None when it is empty.
+
+        A non-delta atom with a spec descends its table's trie.  The delta
+        atom's trie is built here from the rows new since ``since``, and a
+        repeated-variable atom's from every row: project rows through the
+        precomputed column roles, building the trie in variable-rank order.
+        """
+        if ga.spec is not None and not restrict:
+            return descend_constants(
+                table.trie(ga.spec.order).root, ga.spec.const_values
+            )
         roles = ga.roles
         width = ga.width
         permutation = ga.permutation
@@ -687,7 +692,7 @@ class CompiledGenericQuery:
         saved = [nodes[index] for index in involved]
         at_leaf = next_depth == len(self.depth_slots)
         prim_runner = None if self.no_prims else self.prim_runner
-        # Snapshot the iterated level: persistent tries are live structures.
+        # Snapshot the iterated level: table tries are live structures.
         for value in list(nodes[smallest]):
             ok = True
             for position, index in enumerate(involved):

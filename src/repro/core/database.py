@@ -7,15 +7,20 @@ iteration at which it was inserted or last updated — which is what makes
 semi-naïve evaluation (Section 4.3) possible: a delta query only needs to
 look at rows whose timestamp is at least the rule's last-run timestamp.
 
-Tables own two kinds of indexes, both maintained *incrementally* on every
-``put``/``remove`` (including the canonicalizing rewrites rebuilding
-performs):
+Tables own two kinds of indexes with one lifecycle: each is built from
+the current rows on first request, kept exact by every ``put``/``remove``
+that changes a row's value (including the canonicalizing rewrites
+rebuilding performs), and dropped when a restore or bulk load installs
+different rows.  Invariant: every built index equals one built fresh from
+the table's rows.
 
 * hash indexes over column subsets (``index``), used by the
   index-nested-loop join and by rebuilding's dirty-id probes, and
-* column-order tries (:class:`~repro.core.index.TrieIndex`, via
-  ``ensure_trie``/``trie``), consumed directly by generic join, with
-  timestamp buckets so semi-naïve delta restriction reads an index slice.
+* column-order tries (``trie``, a :class:`~repro.core.index.TrieIndex`),
+  descended directly by generic join.
+
+Indexes describe row values, never timestamps: a restamp leaves them
+alone, and the semi-naïve delta is read from the write log instead.
 """
 
 from __future__ import annotations
@@ -136,7 +141,9 @@ class Table:
             if (self._indexes or self._tries) and key not in self._pending:
                 self._pending[key] = old
             return
-        if self._indexes and (old is None or old.value != value):
+        if old is not None and old.value == value:
+            return  # a restamp: no index describes timestamps
+        if self._indexes:
             arity = self.decl.arity
             for columns, index in self._indexes.items():
                 if old is not None:
@@ -149,15 +156,10 @@ class Table:
                         if not entry:
                             del index[old_proj]
                 index.setdefault(self._project(columns, key, value), {})[key] = None
-        if self._tries and (
-            old is None or old.value != value or old.timestamp != timestamp
-        ):
-            for trie in self._tries.values():
-                if trie.stale:
-                    continue  # rebuilt from ``data`` on next access
-                if old is not None:
-                    trie.remove(key + (old.value,), old.timestamp)
-                trie.insert(key + (value,), timestamp)
+        for trie in self._tries.values():
+            if old is not None:
+                trie.remove(key + (old.value,))
+            trie.insert(key + (value,))
 
     def _project(self, columns: Tuple[int, ...], key: Key, value: Value) -> Tuple[Value, ...]:
         arity = self.decl.arity
@@ -206,8 +208,7 @@ class Table:
                     if not entry:
                         del index[proj]
         for trie in self._tries.values():
-            if not trie.stale:
-                trie.remove(key + (row.value,), row.timestamp)
+            trie.remove(key + (row.value,))
         return row
 
     def rows(self) -> Iterator[Tuple[Key, Value, int]]:
@@ -293,49 +294,36 @@ class Table:
         pending, self._pending = self._pending, {}
         data = self.data
         arity = self.decl.arity
-        if self._indexes:
-            changed = [
-                (key, old, row)
-                for key, old in pending.items()
-                for row in (data.get(key),)
-                if not (old is not None and row is not None and old.value == row.value)
-            ]
-            if changed:
-                for columns, index in self._indexes.items():
-                    args_only = all(col < arity for col in columns)
-                    index_setdefault = index.setdefault
-                    index_get = index.get
-                    for key, old, row in changed:
-                        if old is not None:
-                            if args_only and row is not None:
-                                continue  # arg-only projection: unchanged
-                            old_proj = self._project(columns, key, old.value)
-                            entry = index_get(old_proj)
-                            if entry is not None:
-                                entry.pop(key, None)
-                                if not entry:
-                                    del index[old_proj]
-                        if row is not None:
-                            index_setdefault(
-                                self._project(columns, key, row.value), {}
-                            )[key] = None
-        if self._tries:
-            for key, old in pending.items():
-                row = data.get(key)
-                if (
-                    old is not None
-                    and row is not None
-                    and old.value == row.value
-                    and old.timestamp == row.timestamp
-                ):
-                    continue
-                for trie in self._tries.values():
-                    if trie.stale:
-                        continue  # rebuilt from ``data`` on next access
-                    if old is not None:
-                        trie.remove(key + (old.value,), old.timestamp)
-                    if row is not None:
-                        trie.insert(key + (row.value,), row.timestamp)
+        changed = [
+            (key, old, row)
+            for key, old in pending.items()
+            for row in (data.get(key),)
+            if not (old is not None and row is not None and old.value == row.value)
+        ]
+        for columns, index in self._indexes.items():
+            args_only = all(col < arity for col in columns)
+            index_setdefault = index.setdefault
+            index_get = index.get
+            for key, old, row in changed:
+                if old is not None:
+                    if args_only and row is not None:
+                        continue  # arg-only projection: unchanged
+                    old_proj = self._project(columns, key, old.value)
+                    entry = index_get(old_proj)
+                    if entry is not None:
+                        entry.pop(key, None)
+                        if not entry:
+                            del index[old_proj]
+                if row is not None:
+                    index_setdefault(
+                        self._project(columns, key, row.value), {}
+                    )[key] = None
+        for trie in self._tries.values():
+            for key, old, row in changed:
+                if old is not None:
+                    trie.remove(key + (old.value,))
+                if row is not None:
+                    trie.insert(key + (row.value,))
 
     # -- snapshots (push/pop support) ----------------------------------------
 
@@ -363,17 +351,14 @@ class Table:
         transactional batch).
 
         When the table was not written since the capture — it still holds
-        the captured row dict — hash indexes and tries describe exactly the
-        restored rows and are kept.  Otherwise hash indexes are dropped
-        (rebuilt on demand) and registered tries, whose orderings are the
-        compiled rules' access plans, are marked stale so the next access
-        reconstructs them from the restored rows.
+        the captured row dict — its indexes describe exactly the restored
+        rows and are kept.  Otherwise every index is dropped and rebuilt on
+        its next request.
         """
         if state[0] is not self.data:
             self._pending.clear()
             self._indexes.clear()
-            for trie in self._tries.values():
-                trie.stale = True
+            self._tries.clear()
         self.data, self._log_ts, self._log_keys, self._log_sorted = state
         self._shared = True
 
@@ -382,17 +367,15 @@ class Table:
 
         Replaces the table's contents wholesale (keys in ``entries`` order,
         which a snapshot records as the original insertion order) and
-        rebuilds the write log sorted by timestamp.  Derived indexes are
-        invalidated rather than maintained: hash indexes are dropped and
-        registered tries marked stale for lazy rebuild.
+        rebuilds the write log sorted by timestamp.  Every index is dropped
+        and rebuilt on its next request.
         """
         self.data = {key: Row(value, ts) for key, value, ts in entries}
         self._shared = False
         self._compact_log()
         self._pending.clear()
         self._indexes.clear()
-        for trie in self._tries.values():
-            trie.stale = True
+        self._tries.clear()
 
     # -- hash indexes ---------------------------------------------------------
 
@@ -422,44 +405,16 @@ class Table:
 
     # -- trie indexes ---------------------------------------------------------
 
-    def ensure_trie(self, order: Order) -> TrieIndex:
-        """Register (or refresh) the persistent trie over ``order``.
+    def trie(self, order: Order) -> TrieIndex:
+        """Trie over the column ordering ``order`` (a permutation of all
+        columns ``0 .. arity``).
 
-        ``order`` must be a permutation of all columns ``0 .. arity``.  The
-        first registration builds the trie from the current rows; later
-        calls are cheap no-ops unless a snapshot restore left it stale.
+        Same lifecycle as :meth:`index`: built from the current rows on
+        first request, then maintained incrementally by ``put``/``remove``.
         """
         if self._pending:
             self._flush_pending()
         trie = self._tries.get(order)
         if trie is None:
-            trie = TrieIndex(order)
-            trie.rebuild_from(self._stamped_rows())
-            self._tries[order] = trie
-        elif trie.stale:
-            trie.rebuild_from(self._stamped_rows())
+            trie = self._tries[order] = TrieIndex(order, self.tuples())
         return trie
-
-    def trie(self, order: Order) -> Optional[TrieIndex]:
-        """The registered trie over ``order``, or None — never builds one.
-
-        Search paths use this: an unregistered ordering (one-off queries,
-        ``check``) falls back to the ad-hoc per-execution trie instead of
-        paying for a persistent index it would use once.
-        """
-        if self._pending:
-            self._flush_pending()
-        trie = self._tries.get(order)
-        if trie is None:
-            return None
-        if trie.stale:
-            trie.rebuild_from(self._stamped_rows())
-        return trie
-
-    def trie_orders(self) -> List[Order]:
-        """The currently registered trie orderings (introspection/tests)."""
-        return list(self._tries)
-
-    def _stamped_rows(self) -> Iterator[Tuple[Tuple[Value, ...], int]]:
-        for key, row in self.data.items():
-            yield key + (row.value,), row.timestamp

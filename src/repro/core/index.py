@@ -1,34 +1,26 @@
-"""Persistent, incrementally-maintained column-trie indexes.
+"""Column-trie indexes and the structural query plan generic join uses.
 
-A nested-dict trie that the generic-join executor
-(:class:`repro.core.compile.CompiledGenericQuery`) builds per execution
-costs O(|table|) per atom — every iteration re-projects and re-hashes rows
-that have not changed.  This module makes those tries *persistent*: a
-:class:`TrieIndex` is owned by a :class:`~repro.core.database.Table`,
-registered once per column ordering, and maintained incrementally on every
-insert, delete, and canonicalizing rewrite performed during rebuilding.
-The executor descends a registered trie where one exists and builds its
-own otherwise (one-off queries, repeated variables).
+A :class:`TrieIndex` is the second kind of index a
+:class:`~repro.core.database.Table` owns, with the same lifecycle as a
+hash index: built from the current rows on first request
+(``Table.trie``), then kept exact by every ``put``/``remove`` that changes
+a row's value — including the canonicalizing rewrites rebuilding performs
+— and dropped when a restore or bulk load installs different rows.  Tries
+describe rows, not timestamps: the semi-naïve delta (Section 4.3) is read
+from the table's write log (``Table.new_keys``), and the generic-join
+executor (:class:`repro.core.compile.CompiledGenericQuery`) builds a small
+per-search trie from it for the delta atom.
 
-Two ideas carry the subsystem:
-
-* **Column-order tries.**  A trie over a permutation of *all* columns
-  (arguments then output) is exactly the structure generic join descends:
-  level ``k`` maps the value of column ``order[k]`` to the sub-trie of rows
-  sharing that prefix, and the last level maps to ``True``.  An atom whose
-  constant columns come first in the ordering is answered by descending the
-  constants and handing the remaining sub-trie to the join.
-
-* **Timestamp buckets.**  Rows are additionally partitioned into one trie
-  per timestamp (the iteration that last wrote them).  The semi-naïve
-  delta restriction of Section 4.3 — "rows stamped at or after the rule's
-  watermark" — is then an *index slice*: the merge of the buckets at or
-  after the watermark, built in O(|delta|) instead of filtering the table.
+A trie over a permutation of *all* columns (arguments then output) is
+exactly the structure generic join descends: level ``k`` maps the value of
+column ``order[k]`` to the sub-trie of rows sharing that prefix, and the
+last level maps to ``True``.  An atom whose constant columns come first in
+the ordering is answered by descending the constants and handing the
+remaining sub-trie to the join.
 
 Query planning lives here too (:func:`plan_query`): it fixes a
-*deterministic, structural* global variable order per query so that the
-orderings a compiled rule needs are stable across iterations and can be
-registered with the tables up front by the scheduler.
+*deterministic, structural* global variable order per query, and with it
+the column ordering each atom's trie is keyed by.
 """
 
 from __future__ import annotations
@@ -49,57 +41,29 @@ class TrieIndex:
     """A nested-dict trie over one column ordering, maintained incrementally.
 
     ``order`` must be a permutation of all columns ``0 .. arity`` (column
-    ``arity`` is the output).  ``root`` holds every live row; ``buckets``
-    partitions the same rows by their current timestamp.  A row lives in
-    exactly one bucket — an overwrite moves it from its old stamp's bucket
-    to the new one — so the "new since ``since``" view is the disjoint
-    merge of the buckets at or after ``since``.
-
-    ``stale`` marks an index whose table was restored from a snapshot
-    (``pop``); the owning table rebuilds it from the surviving rows on the
-    next access, so restores stay cheap and the cost lands only on indexes
-    actually used afterwards.
+    ``arity`` is the output); ``root`` holds every row inserted and not
+    since removed.
     """
 
-    __slots__ = ("order", "root", "buckets", "stale", "_mutations", "_delta_cache")
+    __slots__ = ("order", "root")
 
-    def __init__(self, order: Order) -> None:
+    def __init__(self, order: Order, rows: Iterable[RowTuple] = ()) -> None:
         self.order = tuple(order)
         self.root: Dict = {}
-        self.buckets: Dict[int, Dict] = {}
-        self.stale = False
-        self._mutations = 0
-        self._delta_cache: Optional[Tuple[int, int, Dict]] = None
+        for row in rows:
+            self.insert(row)
 
-    def __len__(self) -> int:
-        """Number of values at the first trie level (cheap size signal)."""
-        return len(self.root)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def insert(self, row: RowTuple, timestamp: int) -> None:
-        """Add ``row`` (stamped ``timestamp``) to the trie and its bucket."""
-        self._insert_into(self.root, row)
-        self._insert_into(self.buckets.setdefault(timestamp, {}), row)
-        self._mutations += 1
-
-    def remove(self, row: RowTuple, timestamp: int) -> None:
-        """Remove ``row`` (previously stamped ``timestamp``); prunes empty nodes."""
-        self._remove_from(self.root, row)
-        bucket = self.buckets.get(timestamp)
-        if bucket is not None:
-            self._remove_from(bucket, row)
-            if not bucket:
-                del self.buckets[timestamp]
-        self._mutations += 1
-
-    def _insert_into(self, node: Dict, row: RowTuple) -> None:
+    def insert(self, row: RowTuple) -> None:
+        """Add ``row`` to the trie."""
+        node = self.root
         order = self.order
         for col in order[:-1]:
             node = node.setdefault(row[col], {})
         node[row[order[-1]]] = True
 
-    def _remove_from(self, node: Dict, row: RowTuple) -> None:
+    def remove(self, row: RowTuple) -> None:
+        """Remove ``row``; prunes the nodes it leaves empty."""
+        node = self.root
         order = self.order
         path: List[Tuple[Dict, Value]] = []
         for col in order[:-1]:
@@ -113,58 +77,6 @@ class TrieIndex:
             if parent[value]:
                 break
             del parent[value]
-
-    def rebuild_from(self, rows: Iterable[Tuple[RowTuple, int]]) -> None:
-        """Reconstruct the trie and its buckets from scratch (restore path)."""
-        self.root = {}
-        self.buckets = {}
-        self._delta_cache = None
-        self._mutations += 1
-        for row, timestamp in rows:
-            self._insert_into(self.root, row)
-            self._insert_into(self.buckets.setdefault(timestamp, {}), row)
-        self.stale = False
-
-    # -- views ---------------------------------------------------------------
-
-    def delta_root(self, since: int) -> Dict:
-        """Trie of rows stamped at or after ``since`` — the semi-naïve slice.
-
-        The common case (one bucket at or after the watermark, i.e. only the
-        previous iteration wrote) returns that bucket directly with no
-        copying; multiple buckets are merged once and cached until the next
-        mutation.
-        """
-        cached = self._delta_cache
-        if (
-            cached is not None
-            and cached[0] == since
-            and cached[1] == self._mutations
-        ):
-            return cached[2]
-        live = [bucket for ts, bucket in self.buckets.items() if ts >= since]
-        if not live:
-            merged: Dict = {}
-        elif len(live) == 1:
-            merged = live[0]
-        else:
-            merged = {}
-            for bucket in live:
-                _merge_tries(merged, bucket)
-        self._delta_cache = (since, self._mutations, merged)
-        return merged
-
-
-def _merge_tries(dst: Dict, src: Dict) -> None:
-    """Merge trie ``src`` into ``dst`` (rows are disjoint, prefixes shared)."""
-    for value, child in src.items():
-        if child is True:
-            dst[value] = True
-            continue
-        node = dst.get(value)
-        if not isinstance(node, dict):
-            dst[value] = node = {}
-        _merge_tries(node, child)
 
 
 #: Sentinel sub-trie for a fully-constant atom that matched: non-empty but
@@ -191,21 +103,21 @@ def descend_constants(node: Dict, values: Tuple[Value, ...]) -> Optional[Dict]:
 
 
 # ---------------------------------------------------------------------------
-# Query planning: structural variable order + per-atom index orderings
+# Query planning: structural variable order + per-atom trie orderings
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AtomIndexSpec:
-    """The persistent-index access plan for one table atom.
+    """The trie access plan for one table atom.
 
-    ``order`` is the column ordering the atom's table must be indexed on:
+    ``order`` is the column ordering the atom's table trie is keyed by:
     constant columns first (in column order), then the atom's distinct
     variable columns sorted by the query's global variable rank.
     ``const_values`` are descended first; ``var_names`` name the trie levels
     that remain, in global order.  Atoms with repeated variables get no
     spec — equality between trie levels cannot be enforced by descent — and
-    fall back to the ad-hoc projection path.
+    the executor builds their trie per search.
     """
 
     order: Order
@@ -227,8 +139,8 @@ def structural_var_order(atoms: Iterable["TableAtom"]) -> List[str]:
 
     Variables occurring in more atoms come first (they constrain the join
     most), ties broken by first occurrence.  Unlike a cardinality-based
-    tie-break this is stable across iterations, which is what lets compiled
-    rules register their index orderings once, up front.
+    tie-break this is stable across iterations, so a compiled rule asks its
+    tables for the same trie orderings every time it searches.
     """
     from .query import QVar  # local import: query.py imports this module
 
@@ -251,7 +163,7 @@ def structural_var_order(atoms: Iterable["TableAtom"]) -> List[str]:
 def plan_atom(
     atom: "TableAtom", var_rank: Dict[str, int]
 ) -> Optional[AtomIndexSpec]:
-    """Index spec for one atom, or None when only the ad-hoc path applies."""
+    """Trie spec for one atom, or None when its trie is built per search."""
     from .query import QVar  # local import: query.py imports this module
 
     columns = atom.columns()
@@ -276,20 +188,12 @@ def plan_atom(
 
 
 def plan_query(query: "Query") -> QueryPlan:
-    """Plan a conjunctive query: variable order and per-atom index specs.
+    """Plan a conjunctive query: variable order and per-atom trie specs.
 
-    Deterministic in the query's structure, so calling this at rule
-    registration time and again at search time yields identical orderings.
-    The plan is cached on the query, keyed by its atoms (frozen records),
-    so the per-iteration delta searches of a compiled rule re-plan nothing.
+    Deterministic in the query's structure; the generic executor plans
+    once per compiled query.
     """
-    key = tuple(query.atoms)
-    cached = getattr(query, "_plan_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
     var_order = tuple(structural_var_order(query.atoms))
     var_rank = {name: rank for rank, name in enumerate(var_order)}
     specs = tuple(plan_atom(atom, var_rank) for atom in query.atoms)
-    plan = QueryPlan(var_order=var_order, var_rank=var_rank, specs=specs)
-    query._plan_cache = (key, plan)
-    return plan
+    return QueryPlan(var_order=var_order, var_rank=var_rank, specs=specs)

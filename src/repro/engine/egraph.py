@@ -28,7 +28,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.builtins import PrimitiveRegistry, default_registry
 from ..core.database import Table
-from ..core.index import plan_query
 from ..core.proofs import EXPLICIT, Explanation, Justification
 from ..core.query import Query, Substitution
 from ..core.schema import MERGE_ERROR, MERGE_UNION, FunctionDecl, RunReport
@@ -59,9 +58,11 @@ class EGraph:
     """An egglog engine instance.
 
     ``strategy`` selects the join algorithm for rule search and one-off
-    queries alike: ``"indexed"`` (index-nested-loop, the default) or
-    ``"generic"`` (worst-case-optimal generic join over persistent
-    incrementally maintained trie indexes, as in relational e-matching).
+    queries alike: ``"indexed"`` (index-nested-loop over hash indexes, the
+    default) or ``"generic"`` (worst-case-optimal generic join over column
+    tries, as in relational e-matching).  Tables build either kind of
+    index on first use and keep it exact on every write, so a strategy
+    pays only for the indexes its searches ask for.
 
     ``proofs`` (default True) keeps a proof forest alongside the union-find
     so :meth:`explain` can answer *why* two terms are equal; disable it to
@@ -131,8 +132,6 @@ class EGraph:
 
         Compiled rule executors are cached per strategy, so switching picks
         (or builds) the matching plan — no stale cross-strategy state.
-        Switching to a trie-index strategy registers every compiled rule's
-        orderings so the next search runs on maintained indexes.
         """
         if name not in SEARCH_STRATEGIES:
             raise EGraphError(
@@ -140,12 +139,6 @@ class EGraph:
                 f"{sorted(SEARCH_STRATEGIES)}"
             )
         self._strategy = name
-        #: True when rule search consumes persistent trie indexes; the
-        #: engine then registers each compiled rule's orderings up front.
-        self.uses_trie_indexes = name == "generic"
-        if self.uses_trie_indexes:
-            for rule in self.rules.values():
-                self.register_rule_indexes(rule)
 
     # -- compiled executors ---------------------------------------------------
 
@@ -550,24 +543,7 @@ class EGraph:
         self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
         self.rules[compiled.name] = compiled
         self.rulesets.setdefault(compiled.ruleset, []).append(compiled.name)
-        if self.uses_trie_indexes:
-            self.register_rule_indexes(compiled)
         return compiled.name
-
-    def register_rule_indexes(self, rule: CompiledRule) -> None:
-        """Register the rule's planned trie orderings with its tables.
-
-        The plan is structural (deterministic per query), so registering at
-        compile time and searching later agree on the orderings.  Atoms with
-        repeated variables have no spec and keep using the ad-hoc trie path.
-        """
-        plan = plan_query(rule.query)
-        for atom, spec in zip(rule.query.atoms, plan.specs):
-            if spec is None:
-                continue
-            table = self.tables.get(atom.func)
-            if table is not None:
-                table.ensure_trie(spec.order)
 
     def add_rules(self, *rules: Rule) -> List[str]:
         """Register several rules; returns their names."""
@@ -597,8 +573,6 @@ class EGraph:
         self._validate_symbols(compiled.query, f"rule {compiled.name!r}")
         self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
         self.rules[compiled.name] = compiled
-        if self.uses_trie_indexes:
-            self.register_rule_indexes(compiled)
         return compiled.name
 
     def add_rewrite(

@@ -25,10 +25,10 @@ Because insertions always store canonical values, a row can only become
 stale through a union, and every union records its displaced representative
 in the dirty set.  Each round therefore repairs exactly the rows that
 mention a dirty id, found with one hash-index probe per (dirty id,
-eq-sorted column).  The hash indexes (and any registered trie indexes —
-see ``repro.core.index``) are maintained incrementally by the table on
-every put/remove, so a repair round costs O(|dirty| + |repaired rows|),
-not O(|table|) per changed table.
+eq-sorted column).  The hash indexes (and any tries a generic search
+built — see ``repro.core.index``) are maintained incrementally by the
+table on every put/remove, so a repair round costs O(|dirty| + |repaired
+rows|), not O(|table|) per changed table.
 """
 
 from __future__ import annotations

@@ -26,12 +26,9 @@ Rules run through their **compiled executors** (``EGraph.rule_exec`` →
 positional match tuples over integer slots, delta dedup hashes those
 tuples directly, and the apply phase fires each rule's precompiled action
 program — with every table's index maintenance batched until the phase
-ends, since nothing reads the indexes while actions run.
-
-When the engine's strategy consumes persistent trie indexes, the scheduler
-registers each compiled rule's column orderings with the tables up front
-(once per rule — later calls are no-ops), so the first search already runs
-on maintained indexes.
+ends, since nothing reads the indexes while actions run.  The scheduler
+prepares no indexes itself: a search asks its tables for the hash indexes
+or tries it needs, and each is built on that first request.
 """
 
 from __future__ import annotations
@@ -121,12 +118,6 @@ class Scheduler:
         rebuild(egraph)
         report.rebuild_time += time.perf_counter() - start
 
-        # Every ordering a rule's plan needs is registered before searching,
-        # so the join always finds maintained tries (no-op when present).
-        if egraph.uses_trie_indexes:
-            for rule in rules:
-                egraph.register_rule_indexes(rule)
-
         # Phase 1: search (all rules see the same snapshot).  Each rule runs
         # through its compiled executor: positional plans, slot registers,
         # and a precompiled action program (``repro.engine.program``).
@@ -142,8 +133,8 @@ class Scheduler:
 
         # Phase 2: apply.  Bump the timestamp so writes from this iteration
         # are the next iteration's delta.  No search touches the indexes
-        # until the next phase, so every table defers its index/trie
-        # maintenance and flushes one net update per written key.
+        # until the next phase, so every table defers its hash-index and
+        # trie maintenance and flushes one net update per written key.
         egraph.timestamp += 1
         start = time.perf_counter()
         for table in egraph.tables.values():

@@ -13,6 +13,7 @@ of the engine:
 from .errors import (
     ArityError,
     EvalError,
+    FileAccessError,
     FrontendError,
     Loc,
     ParseError,
@@ -29,6 +30,7 @@ __all__ = [
     "ArityError",
     "EvalError",
     "Evaluator",
+    "FileAccessError",
     "FrontendError",
     "Literal",
     "Loc",

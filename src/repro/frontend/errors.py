@@ -71,3 +71,7 @@ class SortError(EvalError):
 
 class UnboundSymbolError(EvalError):
     """A bare symbol used where no binding (global or variable) exists."""
+
+
+class FileAccessError(EvalError):
+    """``(save)`` or ``(load)`` in an evaluator that may not touch files."""

@@ -32,6 +32,7 @@ from ..engine.schedule import Repeat, Run, Saturate, Schedule, Seq
 from .errors import (
     ArityError,
     EvalError,
+    FileAccessError,
     Loc,
     SortError,
     UnboundSymbolError,
@@ -70,7 +71,12 @@ from .sexp import Literal, Sexp, SList, Symbol
 
 
 class Evaluator:
-    """Executes parsed .egg commands against one engine instance."""
+    """Executes parsed .egg commands against one engine instance.
+
+    With ``file_io=False`` the ``(save)`` and ``(load)`` commands raise
+    :class:`FileAccessError` instead of touching the file system; the
+    session service creates every evaluator that way.
+    """
 
     def __init__(
         self,
@@ -78,8 +84,10 @@ class Evaluator:
         *,
         strategy: str = "indexed",
         sink: Optional[Callable[[str], None]] = None,
+        file_io: bool = True,
     ) -> None:
         self.egraph = egraph if egraph is not None else EGraph(strategy=strategy)
+        self.file_io = file_io
         self.globals: Dict[str, Value] = {}
         self._globals_stack: List[Dict[str, Value]] = []
         #: Ambient run budgets applied to ``run``/``run-schedule`` commands
@@ -683,7 +691,18 @@ class Evaluator:
         self.globals = decode_values(egg.get("globals", []), "egg globals")
         self._globals_stack.clear()
 
+    def _refuse_file_io(self, cmd: Command, name: str) -> None:
+        if not self.file_io:
+            raise FileAccessError(
+                f"({name}) is refused in a served session: it would touch the "
+                f"server's files; persist the session with "
+                f"POST /sessions/<id>/checkpoint instead",
+                cmd.loc,
+                self.filename,
+            )
+
     def _do_save(self, cmd: SaveCmd) -> None:
+        self._refuse_file_io(cmd, "save")
         try:
             self.save_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:
@@ -691,6 +710,7 @@ class Evaluator:
         self.emit(f"save: {cmd.path}")
 
     def _do_load(self, cmd: LoadCmd) -> None:
+        self._refuse_file_io(cmd, "load")
         try:
             self.load_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:

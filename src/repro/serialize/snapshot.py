@@ -570,10 +570,6 @@ def _load_rules(engine: EngineEGraph, state: Dict[str, Any]) -> None:
     rulesets.setdefault(DEFAULT_RULESET, [])
     engine.rulesets = rulesets
 
-    if engine.uses_trie_indexes:
-        for rule in engine.rules.values():
-            engine.register_rule_indexes(rule)
-
 
 # ---------------------------------------------------------------------------
 # Convenience entry points

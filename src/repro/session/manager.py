@@ -155,10 +155,9 @@ class Session:
         push/pop stack as it stood at batch entry (pushes made by the
         failed batch vanish), and the evaluator's global environment.
 
-        Side effects outside the engine — a ``(save)`` that wrote a file,
-        a ``(load)`` that replaced the whole session state mid-batch —
-        are not unwound; the rollback restores the pre-batch state on a
-        best-effort basis even then (tables are recreated as needed).
+        A batch has no effect outside the engine and the evaluator to
+        unwind: every evaluator the manager creates refuses ``(save)`` and
+        ``(load)`` (:class:`~repro.frontend.errors.FileAccessError`).
         """
         if not atomic:
             yield
@@ -316,7 +315,7 @@ class SessionManager:
         registry — so every fork starts with the cache hot.
         """
         self._check_base_name(name)
-        evaluator = Evaluator(strategy=self.strategy)
+        evaluator = Evaluator(strategy=self.strategy, file_io=False)
         try:
             evaluator.run_program(text, f"<base {name}>")
         except FrontendError as error:
@@ -380,7 +379,9 @@ class SessionManager:
                 )
                 info.forks += 1
             else:
-                session = Session(self._next_id(), None, Evaluator(strategy=self.strategy))
+                session = Session(
+                    self._next_id(), None, Evaluator(strategy=self.strategy, file_io=False)
+                )
         self._admit(session)
         return session
 
@@ -400,7 +401,7 @@ class SessionManager:
     def _new_session(
         self, base: Optional[str], engine: EGraph, globals_values: Dict[str, Value]
     ) -> Session:
-        evaluator = Evaluator(engine)
+        evaluator = Evaluator(engine, file_io=False)
         evaluator.globals = dict(globals_values)
         return Session(self._next_id(), base, evaluator)
 

@@ -112,7 +112,7 @@ class CheckpointStore:
         egg = egg if isinstance(egg, dict) else {}
         meta = surfaces.get("session")
         meta = meta if isinstance(meta, dict) else {}
-        evaluator = Evaluator(engine)
+        evaluator = Evaluator(engine, file_io=False)
         try:
             evaluator.globals = decode_values(egg.get("globals", []), "egg globals")
         except Exception as error:

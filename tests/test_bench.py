@@ -13,7 +13,7 @@ from repro.bench.workloads import (
     transitive_closure,
 )
 
-TINY_VARIANTS = {"generic-index": "generic", "generic-adhoc": "generic-adhoc"}
+TINY_VARIANTS = {"generic-index": "generic", "indexed": "indexed"}
 
 
 def tiny_tc():
@@ -94,15 +94,9 @@ def test_run_workload_document_schema():
         assert stats["min"] <= stats["median"] <= stats["max"]
         assert stats["median"] in entry["runs_s"]  # an actually measured run
         assert entry["run_s"] == stats["median"]
-    comparison = document["comparison"]
-    assert comparison["baseline"] == "generic-adhoc"
-    assert comparison["candidate"] == "generic-index"
-    assert comparison["speedup"] > 0
-    # The headline comparison numbers are the medians of the repeats.
-    assert comparison["baseline_run_s"] == (
-        document["variants"]["generic-adhoc"]["run_s_stats"]["median"]
-    )
-    assert comparison["candidate_run_s_stats"]["min"] <= comparison["candidate_run_s"]
+    # Variants are engine strategies, measured side by side; none is a
+    # baseline for another.
+    assert "comparison" not in document
 
 
 def test_median_run_s_tolerates_v1_documents():
@@ -146,7 +140,7 @@ def test_variants_agree_on_results():
             variant: entry["table_rows"]
             for variant, entry in document["variants"].items()
         }
-        assert sizes["generic-index"] == sizes["generic-adhoc"], workload.name
+        assert sizes["generic-index"] == sizes["indexed"], workload.name
 
 
 def test_write_document_and_run_suite(tmp_path):
@@ -183,7 +177,7 @@ def test_cli_only_filter_writes_single_file(tmp_path, capsys):
                 "--out",
                 str(tmp_path),
                 "--variants",
-                "generic-index,generic-adhoc",
+                "generic-index,indexed",
             ]
         )
         == 0
@@ -199,6 +193,9 @@ def test_cli_rejects_unknown_selection(tmp_path, capsys):
     assert "no workload matches" in capsys.readouterr().err
     assert bench_main(["--variants", "warp-drive", "--out", str(tmp_path)]) == 1
     assert "unknown variant" in capsys.readouterr().err
+    # Variants are engine strategies only.
+    assert bench_main(["--variants", "generic-adhoc", "--out", str(tmp_path)]) == 1
+    assert "unknown variant(s) generic-adhoc" in capsys.readouterr().err
 
 
 def test_cli_profile_prints_hot_functions(tmp_path, capsys):

@@ -6,17 +6,12 @@ oracle in ``tests/reference.py``, compiled action programs must agree with
 ``run_actions``, and every event that can strand a stale plan — a rule
 edited through a ruleset, push/pop around a compiled run, a strategy switch
 mid-session — must recompile (no stale-slot reads).
-
-``"generic-adhoc"`` is the benchmark baseline engine
-(:func:`repro.bench.runner.bench_engine`): the generic executor with no
-registered tries.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.runner import bench_engine
 from repro.core.compile import assign_slots
 from repro.core.database import Row, Table
 from repro.core.schema import FunctionDecl
@@ -28,11 +23,11 @@ from repro.engine.rule import compile_facts
 
 from .reference import evaluate
 
-STRATEGIES = ["indexed", "generic", "generic-adhoc"]
+STRATEGIES = ["indexed", "generic"]
 
 
 def tc_engine(strategy="indexed", edges=((1, 2), (2, 3), (3, 4), (1, 3))):
-    eg = bench_engine(strategy)
+    eg = EGraph(strategy=strategy)
     eg.relation("edge", (I64, I64))
     eg.relation("path", (I64, I64))
     eg.add_rules(
@@ -95,7 +90,7 @@ def test_all_strategies_agree_on_closure():
         report = eg.run(16)
         assert report.saturated
         closures.append(path_rows(eg))
-    assert closures[0] == closures[1] == closures[2]
+    assert closures[0] == closures[1]
 
 
 def test_compiled_prim_guards_and_binders():
@@ -326,7 +321,6 @@ def test_strategy_switch_mid_session_recompiles():
     eg.run(3)
     exec_indexed = eg.rule_exec(eg.rules["step"])
     eg.strategy = "generic"
-    assert eg.uses_trie_indexes
     exec_generic = eg.rule_exec(eg.rules["step"])
     assert exec_generic is not exec_indexed
     assert exec_generic.strategy == "generic"
@@ -470,7 +464,7 @@ def test_batched_and_unbatched_tables_agree(ops):
     for table in (batched, plain):
         table.index((0,))
         table.index((1,))
-        table.ensure_trie((0, 1))
+        table.trie((0, 1))
     batched.begin_batch()
     for op, a, value, ts in ops:
         key = (i64(a),)

@@ -17,7 +17,6 @@ import pathlib
 
 import pytest
 
-from repro.bench.runner import bench_engine
 from repro.frontend import Evaluator
 from repro.frontend.cli import main as cli_main
 
@@ -53,12 +52,11 @@ def test_golden(path):
     )
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic", "generic-adhoc"])
+@pytest.mark.parametrize("strategy", ["indexed", "generic"])
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
 def test_golden_strategy_independent(path, strategy):
-    """Both join strategies, and the benchmark's ``generic-adhoc`` baseline
-    engine, must produce identical program output."""
-    lines = Evaluator(bench_engine(strategy)).run_program(path.read_text(), str(path))
+    """Both join strategies must produce identical program output."""
+    lines = Evaluator(strategy=strategy).run_program(path.read_text(), str(path))
     expected_path = path.with_suffix(".expected")
     if expected_path.exists():
         assert "".join(line + "\n" for line in lines) == expected_path.read_text()

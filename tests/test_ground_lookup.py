@@ -2,14 +2,13 @@
 
 The index-nested-loop executor (the compiled ``_IndexedStep``) skips hash
 indexes when every argument of an atom is a constant or already bound: the
-row is fetched by key and its output checked.  Answers must not change —
-under any strategy, including the benchmark's ``generic-adhoc`` baseline
-engine — and a ground ``check`` on a fresh fork must build no index at all.
+row is fetched by key and its output checked.  Answers must not change
+under either strategy, and a ground ``check`` on a fresh fork must build no
+index at all.
 """
 
 import pytest
 
-from repro.bench.runner import bench_engine
 from repro.core.terms import App, V
 from repro.core.values import I64, i64
 from repro.engine import CheckError, EGraph, Rule, eq
@@ -17,12 +16,12 @@ from repro.engine.actions import Expr
 
 from .reference import evaluate
 
-STRATEGIES = ["indexed", "generic", "generic-adhoc"]
+STRATEGIES = ["indexed", "generic"]
 
 
 def dist_engine(strategy="indexed"):
     """``dist`` (i64 output, defaults to 5), ``edge``, and an arity-0 ``answer``."""
-    eg = bench_engine(strategy)
+    eg = EGraph(strategy=strategy)
     eg.function("dist", (I64, I64), I64, default=5)
     eg.relation("edge", (I64, I64))
     eg.relation("hop", (I64, I64))

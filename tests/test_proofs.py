@@ -9,7 +9,6 @@ declared functions, and current equivalences.
 
 import pytest
 
-from repro.bench.runner import bench_engine
 from repro.core.proofs import (
     EXPLICIT,
     Justification,
@@ -22,8 +21,7 @@ from repro.core.unionfind import UnionFind
 from repro.engine import EGraph, EGraphError, Rule, Set, rewrite
 from repro.engine.actions import Union as UnionAction
 
-#: ``generic-adhoc`` is the benchmark baseline engine (``bench_engine``).
-STRATEGIES = ("indexed", "generic", "generic-adhoc")
+STRATEGIES = ("indexed", "generic")
 
 
 def check_explanation(egraph, explanation):
@@ -178,7 +176,7 @@ def add(a, b):
 
 
 def math_engine(strategy="indexed", proofs=True):
-    eg = bench_engine(strategy) if proofs else EGraph(strategy=strategy, proofs=False)
+    eg = EGraph(strategy=strategy, proofs=proofs)
     eg.declare_sort("Math")
     eg.constructor("Num", ("i64",), "Math")
     eg.constructor("Add", ("Math", "Math"), "Math")
@@ -198,7 +196,7 @@ def test_explain_rule_step_names_the_rule(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_explain_congruence_step_names_the_function(strategy):
-    eg = bench_engine(strategy)
+    eg = EGraph(strategy=strategy)
     eg.declare_sort("V")
     eg.constructor("Leaf", ("i64",), "V")
     eg.constructor("F", ("V",), "V")

@@ -353,6 +353,62 @@ def test_http_snapshot_base(server, tmp_path):
     assert server.request("POST", "/bases", {"name": "bad", "snapshot_path": "/nope.json"})[0] == 400
 
 
+def _saved_snapshot(tmp_path):
+    """A real snapshot file, written by a local evaluator (which may)."""
+    from repro.frontend import Evaluator
+
+    path = tmp_path / "local.json"
+    Evaluator().run_program(TC_PROGRAM + f'(save "{path}")')
+    assert path.exists()
+    return path
+
+
+def test_http_egg_batches_refuse_save_and_load(server, tmp_path):
+    outside = tmp_path / "outside.json"
+    snapshot = _saved_snapshot(tmp_path)
+    server.request("POST", "/bases", {"name": "tc", "program": TC_PROGRAM})
+    _, body = server.request("POST", "/sessions", {"base": "tc"})
+    sid = body["session"]["id"]
+    stats_op = {"ops": [{"op": "stats"}]}
+    _, before = server.request("POST", f"/sessions/{sid}/program", stats_op)
+    for command in (f'(save "{outside}")', f'(load "{snapshot}")'):
+        status, body = server.request(
+            "POST", f"/sessions/{sid}/egg", {"program": "(edge 7 8)\n" + command}
+        )
+        assert status == 422, body
+        assert "refused in a served session" in body["error"]
+        assert "POST /sessions/<id>/checkpoint" in body["error"]
+    assert not outside.exists()
+    _, after = server.request("POST", f"/sessions/{sid}/program", stats_op)
+    assert after["results"] == before["results"]  # (edge 7 8) rolled back
+    # A base program is refused the same way, and registers nothing.
+    status, body = server.request(
+        "POST", "/bases", {"name": "writer", "program": TC_PROGRAM + f'(save "{outside}")'}
+    )
+    assert status == 422 and "refused in a served session" in body["error"]
+    assert not outside.exists()
+    assert [base["name"] for base in server.request("GET", "/bases")[1]["bases"]] == ["tc"]
+
+
+def test_every_manager_evaluator_refuses_file_io(tmp_path):
+    snapshot = _saved_snapshot(tmp_path)
+    mgr = SessionManager(max_sessions=2, state_dir=str(tmp_path / "state"))
+    mgr.add_base_from_program("tc", TC_PROGRAM)  # also what --base runs
+    mgr.add_base_from_snapshot("warm", str(snapshot))
+    sessions = [mgr.create_session("tc"), mgr.create_session("warm")]
+    sessions.append(mgr.fork_session(sessions[0].id))  # evicts sessions[0]
+    sessions.append(mgr.create_session())  # evicts sessions[1]
+    restored = [mgr.get(sessions[0].id), mgr.get(sessions[1].id)]  # from checkpoints
+    assert mgr.stats()["durability"]["restores"] == 2
+    for session in sessions[2:] + restored:
+        assert session.evaluator.file_io is False
+        with pytest.raises(ProgramError, match="refused in a served session"):
+            session.run_egg(f'(load "{snapshot}")')
+    with pytest.raises(ProgramError, match=r"\(save\) is refused"):
+        mgr.add_base_from_program("writer", f'(save "{tmp_path / "base.json"}")')
+    assert not (tmp_path / "base.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # Concurrency property: N threads == serial
 # ---------------------------------------------------------------------------
