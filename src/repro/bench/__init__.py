@@ -6,9 +6,9 @@ PR measurable:
 
 * :mod:`repro.bench.workloads` — parameterized workload generators
   (transitive closure on chain/random/grid graphs, math rewriting at
-  growing depths, congruence-closure stress).
-* :mod:`repro.bench.runner` — runs each workload under both engine
-  strategies (generic join over maintained tries, index-nested-loop),
+  growing depths, congruence-closure stress, proof production, and
+  triangle listing — the one cyclic rule body).
+* :mod:`repro.bench.runner` — runs each workload on a fresh engine,
   times the search/apply/rebuild phases via
   :class:`~repro.core.schema.RunReport`, and emits one schema-stable
   ``BENCH_<name>.json`` per workload.
@@ -23,7 +23,6 @@ before optimizing it.
 """
 
 from .runner import (
-    DEFAULT_VARIANTS,
     SCHEMA,
     median_run_s,
     profile_workload,
@@ -33,7 +32,6 @@ from .runner import (
 from .workloads import Workload, default_workloads
 
 __all__ = [
-    "DEFAULT_VARIANTS",
     "SCHEMA",
     "Workload",
     "default_workloads",

@@ -5,7 +5,6 @@ Examples::
     python -m repro.bench                 # full suite, 3 repeats, cwd output
     python -m repro.bench --quick         # CI-smoke sizes, 1 repeat
     python -m repro.bench --only tc       # transitive-closure workloads only
-    python -m repro.bench --variants generic-index
     python -m repro.bench --profile --only math   # cProfile instead of timing
 """
 
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .._version import package_version
-from .runner import DEFAULT_VARIANTS, profile_workload, run_suite
+from .runner import profile_workload, run_suite
 from .server import SERVER_BENCH_NAME
 from .workloads import default_workloads
 
@@ -31,7 +30,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI-smoke sizes and a single repeat per variant",
+        help="CI-smoke sizes and a single repeat per workload",
     )
     parser.add_argument(
         "--out",
@@ -50,21 +49,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="repeats per (workload, variant); default 3, or 1 with --quick",
+        help="repeats per workload; default 3, or 1 with --quick",
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=0,
         help="seed for the workload generators (default: 0)",
-    )
-    parser.add_argument(
-        "--variants",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated subset of the engine variants "
-        + ", ".join(sorted(DEFAULT_VARIANTS))
-        + " (each names one join strategy)",
     )
     parser.add_argument(
         "--list",
@@ -75,7 +66,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="cProfile each selected workload (top-20 cumulative functions) "
-        "instead of timing; profiles the first selected variant's strategy",
+        "instead of timing",
     )
     parser.add_argument(
         "--replay",
@@ -99,9 +90,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
         return replay_snapshot(args.replay, repeats=repeats)
     workloads = default_workloads(quick=args.quick, seed=args.seed)
-    # The server bench has its own variant pair (fork-warm vs cold-load),
-    # so it only runs with the default engine-variant selection.
-    include_server = args.variants is None and not args.profile
+    # The server bench has its own variant pair (fork-warm vs cold-load)
+    # and nothing to profile.
+    include_server = not args.profile
     if args.only:
         workloads = [w for w in workloads if args.only in w.name]
         include_server = include_server and args.only in SERVER_BENCH_NAME
@@ -114,34 +105,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if include_server:
             print(f"{SERVER_BENCH_NAME}  [server]  fork-warm vs cold-load")
         return 0
-    variants = dict(DEFAULT_VARIANTS)
-    if args.variants:
-        names = [name.strip() for name in args.variants.split(",") if name.strip()]
-        unknown = [name for name in names if name not in DEFAULT_VARIANTS]
-        if unknown:
-            print(
-                f"error: unknown variant(s) {', '.join(unknown)}; "
-                f"pick from {', '.join(sorted(DEFAULT_VARIANTS))}",
-                file=sys.stderr,
-            )
-            return 1
-        variants = {name: DEFAULT_VARIANTS[name] for name in names}
     repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
     if repeats < 1:
         print("error: --repeats must be positive", file=sys.stderr)
         return 1
     if args.profile:
-        strategy = next(iter(variants.values()))
         for workload in workloads:
-            profile_workload(workload, strategy)
+            profile_workload(workload)
         return 0
     if workloads:
-        run_suite(
-            workloads,
-            variants=variants,
-            repeats=repeats,
-            out_dir=Path(args.out),
-        )
+        run_suite(workloads, repeats=repeats, out_dir=Path(args.out))
     if include_server:
         from .runner import write_document
         from .server import server_document

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..engine import EGraph
 from ..engine.schedule import Run, Schedule
@@ -68,7 +68,6 @@ def replay_snapshot(
     path: str,
     *,
     repeats: int = 3,
-    strategy: Optional[str] = None,
     log: Callable[[str], None] = print,
 ) -> int:
     """Load ``path`` and time its replay schedule; returns an exit code.
@@ -96,7 +95,7 @@ def replay_snapshot(
     for _ in range(max(1, repeats)):
         with gc_paused():
             start = time.perf_counter()
-            engine, _ = load_engine(path, strategy=strategy)
+            engine, _ = load_engine(path)
             load_times.append(time.perf_counter() - start)
         with gc_paused():
             start = time.perf_counter()

@@ -1,6 +1,6 @@
-"""Benchmark runner: time workloads across engine variants, emit BENCH JSON.
+"""Benchmark runner: time workloads on the engine, emit BENCH JSON.
 
-For each workload the runner builds a fresh engine per (variant, repeat),
+For each workload the runner builds a fresh engine per repeat,
 times setup and run separately with ``time.perf_counter`` (each region
 with the cyclic GC collected up front and paused, see :func:`gc_paused`),
 and folds in the phase split (search/apply/rebuild) that the scheduler's
@@ -9,9 +9,11 @@ median over repeats — robust to one noisy run without needing many.
 
 One ``BENCH_<name>.json`` is written per workload.  The schema is stable
 (``schema`` key, fixed key set per level) so downstream tooling and future
-PRs can diff numbers without parsing churn.  Each variant is one engine
-strategy: generic join over maintained column tries (``generic-index``)
-and the index-nested-loop join (``indexed``).
+PRs can diff numbers without parsing churn.  An engine workload records
+one variant, ``default``: each rule picks its join from the shape of its
+body, so there is no engine-wide choice left to measure side by side.
+The ``variants`` block stays because the server bench measures two
+serving paths in it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List
 
 from .._version import package_version
 from ..engine import EGraph
@@ -35,12 +37,8 @@ from .workloads import Workload
 #: tolerant of v1 files (no ``run_s_stats`` key).
 SCHEMA = "repro.bench/v2"
 
-#: Engine variants measured by default, each mapped to the engine
-#: strategy it runs.
-DEFAULT_VARIANTS: Dict[str, str] = {
-    "generic-index": "generic",
-    "indexed": "indexed",
-}
+#: The one variant name an engine workload records.
+VARIANT = "default"
 
 
 @contextmanager
@@ -62,9 +60,9 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _run_once(workload: Workload, strategy: str) -> Dict[str, object]:
+def _run_once(workload: Workload) -> Dict[str, object]:
     """One cold run of ``workload`` on a fresh engine; returns raw numbers."""
-    egraph = EGraph(strategy=strategy)
+    egraph = EGraph()
     with gc_paused():
         start = time.perf_counter()
         workload.setup(egraph)
@@ -114,38 +112,29 @@ def median_run_s(entry: Dict[str, object]) -> float:
     return float(entry["run_s"])  # type: ignore[arg-type]
 
 
-def run_workload(
-    workload: Workload,
-    variants: Optional[Dict[str, str]] = None,
-    *,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Measure ``workload`` under every variant; returns the BENCH document."""
-    variants = dict(variants if variants is not None else DEFAULT_VARIANTS)
-    measured: Dict[str, object] = {}
-    for variant, strategy in variants.items():
-        runs = [_run_once(workload, strategy) for _ in range(repeats)]
-        runs_s = [run["run_s"] for run in runs]
-        # median_low throughout: every reported number (headline, phase
-        # split, counts) comes from the same actually-measured run.
-        median = runs[runs_s.index(statistics.median_low(runs_s))]
-        measured[variant] = {
-            "strategy": strategy,
-            "repeats": repeats,
-            "run_s": median["run_s"],
-            "run_s_stats": _run_s_stats(runs_s),
-            "runs_s": runs_s,
-            "setup_s": median["setup_s"],
-            "search_s": median["search_s"],
-            "apply_s": median["apply_s"],
-            "rebuild_s": median["rebuild_s"],
-            "iterations": median["iterations"],
-            "matches": median["matches"],
-            "delta_skips": median["delta_skips"],
-            "saturated": median["saturated"],
-            "table_rows": median["table_rows"],
-        }
-
+def run_workload(workload: Workload, *, repeats: int = 3) -> Dict[str, object]:
+    """Measure ``workload`` over ``repeats`` cold runs; returns the BENCH
+    document."""
+    runs = [_run_once(workload) for _ in range(repeats)]
+    runs_s = [run["run_s"] for run in runs]
+    # median_low throughout: every reported number (headline, phase
+    # split, counts) comes from the same actually-measured run.
+    median = runs[runs_s.index(statistics.median_low(runs_s))]
+    measured = {
+        "repeats": repeats,
+        "run_s": median["run_s"],
+        "run_s_stats": _run_s_stats(runs_s),
+        "runs_s": runs_s,
+        "setup_s": median["setup_s"],
+        "search_s": median["search_s"],
+        "apply_s": median["apply_s"],
+        "rebuild_s": median["rebuild_s"],
+        "iterations": median["iterations"],
+        "matches": median["matches"],
+        "delta_skips": median["delta_skips"],
+        "saturated": median["saturated"],
+        "table_rows": median["table_rows"],
+    }
     return {
         "schema": SCHEMA,
         "name": workload.name,
@@ -156,13 +145,12 @@ def run_workload(
         # proof production (the default) was on — both shift run times.
         "version": package_version(),
         "proofs": True,
-        "variants": measured,
+        "variants": {VARIANT: measured},
     }
 
 
 def profile_workload(
     workload: Workload,
-    strategy: str = "indexed",
     *,
     top: int = 20,
     log: Callable[[str], None] = print,
@@ -177,7 +165,7 @@ def profile_workload(
     import io
     import pstats
 
-    egraph = EGraph(strategy=strategy)
+    egraph = EGraph()
     workload.setup(egraph)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -185,7 +173,7 @@ def profile_workload(
     profiler.disable()
     stream = io.StringIO()
     pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(top)
-    log(f"profile: {workload.name} [{strategy}] — top {top} by cumulative time")
+    log(f"profile: {workload.name} — top {top} by cumulative time")
     log(stream.getvalue().rstrip())
 
 
@@ -200,7 +188,6 @@ def write_document(document: Dict[str, object], out_dir: Path) -> Path:
 def run_suite(
     workloads: Iterable[Workload],
     *,
-    variants: Optional[Dict[str, str]] = None,
     repeats: int = 3,
     out_dir: Path = Path("."),
     log: Callable[[str], None] = print,
@@ -208,7 +195,7 @@ def run_suite(
     """Run every workload, write its BENCH file, and log a one-line summary."""
     paths: List[Path] = []
     for workload in workloads:
-        document = run_workload(workload, variants, repeats=repeats)
+        document = run_workload(workload, repeats=repeats)
         path = write_document(document, out_dir)
         paths.append(path)
         summary = ", ".join(

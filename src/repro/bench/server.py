@@ -66,9 +66,9 @@ def _observe(session, n: int) -> Tuple[int, int, bool]:
     return report["iterations"], report["matches"], report["saturated"]
 
 
-def _fork_warm(n: int, sessions: int, strategy: str) -> Dict[str, object]:
+def _fork_warm(n: int, sessions: int) -> Dict[str, object]:
     """One timed pass: N forks from a single pre-saturated base."""
-    manager = SessionManager(strategy=strategy, max_sessions=sessions + 1)
+    manager = SessionManager(max_sessions=sessions + 1)
     with gc_paused():
         start = time.perf_counter()
         manager.add_base_from_program(_BASE, _chain_program(n) + f"\n(run {4 * n})")
@@ -93,9 +93,9 @@ def _fork_warm(n: int, sessions: int, strategy: str) -> Dict[str, object]:
     }
 
 
-def _cold_load(n: int, sessions: int, strategy: str) -> Dict[str, object]:
+def _cold_load(n: int, sessions: int) -> Dict[str, object]:
     """One timed pass: N sessions each built from program source, cold."""
-    manager = SessionManager(strategy=strategy, max_sessions=sessions + 1)
+    manager = SessionManager(max_sessions=sessions + 1)
     program = _chain_program(n)
     iterations = matches = 0
     saturated = True
@@ -113,28 +113,22 @@ def _cold_load(n: int, sessions: int, strategy: str) -> Dict[str, object]:
             "iterations": iterations, "matches": matches, "saturated": saturated}
 
 
-_VARIANTS: Dict[str, Callable[[int, int, str], Dict[str, object]]] = {
+_VARIANTS: Dict[str, Callable[[int, int], Dict[str, object]]] = {
     "fork-warm": _fork_warm,
     "cold-load": _cold_load,
 }
 
 
-def server_document(
-    *,
-    quick: bool = False,
-    repeats: int = 3,
-    strategy: str = "indexed",
-) -> Dict[str, object]:
+def server_document(*, quick: bool = False, repeats: int = 3) -> Dict[str, object]:
     """Measure both serving paths; returns the BENCH document (v2 schema)."""
     n = 28 if quick else 72
     sessions = 20 if quick else 100
     measured: Dict[str, object] = {}
     for variant, runner in _VARIANTS.items():
-        runs = [runner(n, sessions, strategy) for _ in range(repeats)]
+        runs = [runner(n, sessions) for _ in range(repeats)]
         runs_s: List[float] = [run["run_s"] for run in runs]
         median = runs[runs_s.index(statistics.median_low(runs_s))]
         measured[variant] = {
-            "strategy": strategy,
             "repeats": repeats,
             "run_s": median["run_s"],
             "run_s_stats": _run_s_stats(runs_s),
@@ -154,7 +148,7 @@ def server_document(
         "schema": SCHEMA,
         "name": SERVER_BENCH_NAME,
         "family": "server",
-        "params": {"n": n, "sessions": sessions, "strategy": strategy},
+        "params": {"n": n, "sessions": sessions},
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "version": package_version(),
         "proofs": True,

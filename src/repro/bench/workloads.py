@@ -5,7 +5,7 @@ private :class:`random.Random`, so two runs on the same parameters exercise
 the engine identically and timing differences are attributable to the
 engine, not the input.
 
-Three families:
+The families:
 
 * **Transitive closure** (:func:`transitive_closure`) — the paper's
   canonical Datalog workload: ``path(x,z) :- path(x,y), edge(y,z)`` on
@@ -19,6 +19,11 @@ Three families:
 * **Congruence stress** (:func:`congruence_stress`) — towers of unary
   applications over leaf classes that are then unioned pairwise, forcing
   cascades of congruence repairs.  Measures the rebuild path in isolation.
+* **Proof production** (:func:`proof_explain`) — congruence towers, then
+  a batch of ``explain`` calls.
+* **Triangles** (:func:`triangles`) — the one cyclic rule body, so the
+  one family that runs generic join; every other family's rules are
+  α-acyclic and run index-nested-loop join.
 """
 
 from __future__ import annotations
@@ -287,6 +292,46 @@ def proof_explain(*, leaves: int, height: int, explains: int, seed: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
+# Triangles
+# ---------------------------------------------------------------------------
+
+
+def triangles(*, n: int, m: int, seed: int = 0) -> Workload:
+    """List the triangles of a seeded random graph with ``n`` nodes and
+    ``m`` edges.
+
+    ``tri(a, b, c) :- edge(a, b), edge(b, c), edge(a, c)`` is a cyclic
+    body, so its search runs generic join over the ``edge`` tries.  The
+    first iteration lists every triangle; the later ones find nothing
+    new.
+    """
+    edges = _random_edges(n, m, seed)
+
+    def setup(egraph: EGraph) -> None:
+        egraph.relation("edge", ("i64", "i64"))
+        egraph.relation("tri", ("i64", "i64", "i64"))
+        a, b, c = V("a"), V("b"), V("c")
+        egraph.add_rules(
+            Rule(
+                facts=[App("edge", a, b), App("edge", b, c), App("edge", a, c)],
+                actions=[Expr(App("tri", a, b, c))],
+                name="triangle",
+            )
+        )
+        for x, y in edges:
+            egraph.add(App("edge", x, y))
+
+    return Workload(
+        name="triangle",
+        family="triangle",
+        params={"n": n, "m": m, "seed": seed},
+        setup=setup,
+        run=lambda egraph: egraph.run(3),
+        tables_of_interest=("edge", "tri"),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Default suites
 # ---------------------------------------------------------------------------
 
@@ -301,6 +346,7 @@ def default_workloads(*, quick: bool = False, seed: int = 0) -> List[Workload]:
             math_rewriting(depth=4, iterations=4, seed=seed),
             congruence_stress(leaves=60, height=4, seed=seed),
             proof_explain(leaves=40, height=4, explains=30, seed=seed),
+            triangles(n=30, m=120, seed=seed),
         ]
     return [
         transitive_closure("chain", n=72, seed=seed),
@@ -311,4 +357,5 @@ def default_workloads(*, quick: bool = False, seed: int = 0) -> List[Workload]:
         math_rewriting(depth=5, iterations=5, seed=seed),
         congruence_stress(leaves=220, height=5, seed=seed),
         proof_explain(leaves=150, height=5, explains=100, seed=seed),
+        triangles(n=300, m=6000, seed=seed),
     ]

@@ -1,10 +1,10 @@
-"""Compiled query plans: the one search path for every join strategy.
+"""Compiled query plans: the one search path for rule bodies and queries.
 
 Rule bodies and one-off public queries (``query``, ``check``) both run
 through the executors here (journals_pacmpl_ZhangWFCZRTW23 §4–5).  A
 compiled rule runs its query millions of times against the same
 *structure* — only the data changes — so everything structural is
-resolved once per (query, strategy):
+resolved once per query:
 
 * **Slots.**  Query variables become integer slots
   (:func:`assign_slots`); a match is a plain ``tuple`` of values in slot
@@ -17,30 +17,34 @@ resolved once per (query, strategy):
   straight-line program (:func:`compile_prims`) whose steps fetch
   arguments from slots.
 
-One executor per engine strategy:
+Two executors, and :func:`compile_query` picks one from the shape of the
+body (:func:`is_acyclic`):
 
-* :class:`CompiledIndexedQuery` — index-nested-loop join (the default
-  engine strategy).  The greedy atom order adapts to live table sizes via
-  :func:`plan_order`; the per-atom step structures are cached keyed by the
-  resulting order.
-* :class:`CompiledGenericQuery` — worst-case optimal generic join.  Every
-  atom without a repeated variable descends its table's trie
-  (``Table.trie``: built on first use, then maintained on write), except
-  the delta atom, whose trie is built per search from the write log's new
-  rows.  The per-depth sets of involved atoms are fully static, so the
-  descent does no per-node atom scanning.
+* :class:`CompiledIndexedQuery` — index-nested-loop join, for α-acyclic
+  bodies (every rule the examples, golden files and benchmarks hold).
+  The greedy atom order adapts to live table sizes via
+  :func:`plan_order`; the per-atom step structures are cached keyed by
+  the resulting order.
+* :class:`CompiledGenericQuery` — worst-case optimal generic join, for
+  cyclic bodies such as triangles.  Every atom without a repeated
+  variable descends its table's trie (``Table.trie``: built on first
+  use, then maintained on write), except the delta atom, whose trie is
+  built per search from the write log's new rows.  The per-depth sets of
+  involved atoms are fully static, so the descent does no per-node atom
+  scanning.
 
 Both support *delta* searches for semi-naïve evaluation: one designated
 atom is restricted to rows whose timestamp is at least ``since``.
 
-Cache invalidation is the engine's job: compiled executors are cached per
-(rule, strategy) and keyed by the engine's compile epoch, which push/pop
-and rule replacement bump (see ``EGraph.rule_exec``).
+Cache invalidation is the engine's job: a rule's compiled executor is
+cached on the rule and keyed by the engine's compile epoch, which
+push/pop and rule replacement bump (see ``EGraph.rule_exec``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .builtins import PrimitiveRegistry
 from .database import Table
@@ -711,3 +715,51 @@ class CompiledGenericQuery:
                 self._descend(next_depth, nodes, regs, emit)
         for position, index in enumerate(involved):
             nodes[index] = saved[position]
+
+
+# ---------------------------------------------------------------------------
+# Join selection
+# ---------------------------------------------------------------------------
+
+
+def is_acyclic(atoms: Sequence[TableAtom]) -> bool:
+    """Whether the table atoms form an α-acyclic hypergraph (GYO reduction).
+
+    Each atom is the set of its variables (constants play no part).  The
+    reduction repeatedly drops a variable that only one atom holds, and an
+    atom whose variables another atom covers; the body is acyclic iff at
+    most one atom is left.
+    """
+    edges = [set(atom.variables()) for atom in atoms]
+    changed = True
+    while changed and len(edges) > 1:
+        changed = False
+        holders = Counter(name for edge in edges for name in edge)
+        for edge in edges:
+            lonely = {name for name in edge if holders[name] == 1}
+            if lonely:
+                edge -= lonely
+                changed = True
+        for index, edge in enumerate(edges):
+            if any(other is not edge and edge <= other for other in edges):
+                del edges[index]
+                changed = True
+                break
+    return len(edges) <= 1
+
+
+def compile_query(
+    query: Query,
+    slot_of: Dict[str, int],
+    n_slots: int,
+    registry: PrimitiveRegistry,
+) -> Union[CompiledIndexedQuery, CompiledGenericQuery]:
+    """The executor for ``query``, read off the shape of its body.
+
+    A cyclic body (a triangle, a 4-cycle) gets worst-case optimal generic
+    join; any other body gets index-nested-loop join, which is faster on
+    acyclic bodies because it needs no trie.
+    """
+    if is_acyclic(query.atoms):
+        return CompiledIndexedQuery(query, slot_of, n_slots, registry)
+    return CompiledGenericQuery(query, slot_of, n_slots, registry)

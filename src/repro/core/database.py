@@ -113,10 +113,6 @@ class Table:
     def arity(self) -> int:
         return self.decl.arity
 
-    @property
-    def num_columns(self) -> int:
-        return self.decl.arity + 1
-
     def get(self, key: Key) -> Optional[Value]:
         row = self.data.get(key)
         return row.value if row is not None else None

@@ -126,11 +126,6 @@ class ProofForest:
     def __len__(self) -> int:
         return len(self._parent)
 
-    @property
-    def n_edges(self) -> int:
-        """Number of justification edges (equals the union-find's n_unions)."""
-        return sum(1 for i, p in enumerate(self._parent) if p != i)
-
     def make_set(self) -> int:
         """Add a fresh singleton tree; returns the new id."""
         ident = len(self._parent)

@@ -11,7 +11,7 @@ equivalence relation, evaluating these queries with ordinary relational joins
 is exactly e-matching (pattern matching modulo equality) — this is the
 "relational e-matching" insight the paper builds on.
 
-This module holds only the query data types.  The join strategies that
+This module holds only the query data types.  The joins that
 evaluate them — rule bodies and one-off ``query``/``check`` alike — are the
 compiled executors in :mod:`repro.core.compile`.
 """

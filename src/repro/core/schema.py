@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
-from .values import UNIT, Value
+from .values import Value
 
 # A merge function combines the old and the new output value into the value
 # that should be stored.  The engine takes care of performing the union when
@@ -74,11 +74,6 @@ class FunctionDecl:
     @property
     def arity(self) -> int:
         return len(self.arg_sorts)
-
-    @property
-    def is_relation(self) -> bool:
-        """A relation is a function whose output sort is Unit."""
-        return self.out_sort == UNIT
 
     def signature(self) -> str:
         args = " ".join(self.arg_sorts)

@@ -64,17 +64,6 @@ class PrimitiveSort(Sort):
         return False
 
 
-@dataclass(frozen=True)
-class SetSort(Sort):
-    """A container sort holding a frozenset of element values."""
-
-    element: str = STRING
-
-    @property
-    def is_eq_sort(self) -> bool:
-        return False
-
-
 BUILTIN_SORTS = {
     I64: PrimitiveSort(I64),
     F64: PrimitiveSort(F64),
@@ -180,11 +169,6 @@ def rational_from_fraction(frac: Fraction) -> Value:
     return Value(RATIONAL, frac)
 
 
-def value_set(sort_name: str, items: Any = ()) -> Value:
-    """Construct a set value of the given set-sort name."""
-    return Value(sort_name, frozenset(items))
-
-
 def from_python(obj: Any) -> Value:
     """Best-effort conversion of a plain Python object into a Value.
 
@@ -204,11 +188,6 @@ def from_python(obj: Any) -> Value:
     if isinstance(obj, Fraction):
         return rational_from_fraction(obj)
     raise TypeError(f"cannot convert {obj!r} to an egglog value")
-
-
-def to_python(value: Value) -> Any:
-    """Unwrap a primitive Value back into its Python payload."""
-    return value.data
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ class Explanation:
 class EGraph:
     """A typed egglog engine: the blessed embedded surface.
 
-    ``strategy`` and ``registry`` pass through to the underlying
+    ``registry`` and ``proofs`` pass through to the underlying
     :class:`repro.engine.EGraph`, which remains available as ``.engine``
     for the string-level API the DSL lowers onto.
     """
@@ -155,13 +155,10 @@ class EGraph:
     def __init__(
         self,
         *,
-        strategy: str = "indexed",
         registry: Optional[PrimitiveRegistry] = None,
         proofs: bool = True,
     ) -> None:
-        self.engine = EngineEGraph(
-            strategy=strategy, registry=registry, proofs=proofs
-        )
+        self.engine = EngineEGraph(registry=registry, proofs=proofs)
         self._sorts: Dict[str, Sort] = dict(BUILTIN_SORT_HANDLES)
         self._functions: Dict[str, Function] = {}
         self._rulesets: Dict[str, Ruleset] = {}
@@ -701,7 +698,7 @@ class EGraph:
             }
         }
 
-    def fork(self, *, strategy: Optional[str] = None) -> "EGraph":
+    def fork(self) -> "EGraph":
         """An independent copy of this EGraph — engine state and handles.
 
         The engine round-trips through an in-memory snapshot document (no
@@ -721,11 +718,7 @@ class EGraph:
 
         try:
             document = engine_document(self.engine, surfaces=self._dsl_surfaces())
-            engine = engine_from_document(
-                document,
-                strategy=strategy if strategy is not None else self.engine.strategy,
-                registry=self.engine.registry,
-            )
+            engine = engine_from_document(document, registry=self.engine.registry)
         except SnapshotError as error:
             raise DslError(str(error)) from error
         forked = type(self).__new__(type(self))
@@ -738,7 +731,6 @@ class EGraph:
         cls,
         path: str,
         *,
-        strategy: Optional[str] = None,
         registry: Optional[PrimitiveRegistry] = None,
     ) -> "EGraph":
         """Construct a typed EGraph from a snapshot file.
@@ -751,7 +743,7 @@ class EGraph:
         from ..serialize import SnapshotError, load_engine
 
         try:
-            engine, document = load_engine(path, strategy=strategy, registry=registry)
+            engine, document = load_engine(path, registry=registry)
         except SnapshotError as error:
             raise DslError(str(error)) from error
         self = cls.__new__(cls)
@@ -759,18 +751,16 @@ class EGraph:
         self._hydrate(document)
         return self
 
-    def load(self, path: str, *, strategy: Optional[str] = None) -> None:
+    def load(self, path: str) -> None:
         """Replace this EGraph's state — engine and handles — in place.
 
         Handles declared before the load go stale (their declarations are
-        gone) and say so when used, exactly as after :meth:`pop`.  The
-        engine keeps its configured join strategy unless ``strategy``
-        overrides it.
+        gone) and say so when used, exactly as after :meth:`pop`.
         """
         from ..serialize import SnapshotError
 
         try:
-            document = self.engine.load(path, strategy=strategy)
+            document = self.engine.load(path)
         except SnapshotError as error:
             raise DslError(str(error)) from error
         self._hydrate(document)
@@ -839,6 +829,5 @@ class EGraph:
         n_sorts = sum(1 for s in self._sorts.values() if s.owner is self)
         return (
             f"<dsl.EGraph: {n_sorts} sort(s), {len(self.engine.decls)} "
-            f"function(s), {len(self.engine.rules)} rule(s), "
-            f"strategy={self.engine.strategy!r}>"
+            f"function(s), {len(self.engine.rules)} rule(s)>"
         )

@@ -13,7 +13,7 @@ Datalog + equality-saturation engine of the paper:
 
 from .actions import Action, Delete, Expr, Let, Panic, Set, Union
 from .budget import STOP_DEADLINE, STOP_MAX_NODES, Budget
-from .egraph import SEARCH_STRATEGIES, EGraph
+from .egraph import EGraph
 from .errors import CheckError, EGraphError, EGraphPanic, ExtractError, MergeError
 from .rule import (
     DEFAULT_RULESET,
@@ -46,7 +46,6 @@ __all__ = [
     "Repeat",
     "Rule",
     "Run",
-    "SEARCH_STRATEGIES",
     "STOP_DEADLINE",
     "STOP_MAX_NODES",
     "Saturate",

@@ -15,8 +15,10 @@ The split that makes sharing sound: a rule's executor has an
   but the query structure and the primitive registry.  ``search`` receives
   the tables per call, so one plan serves any engine that shares the
   registry.  That half lives here, in one process-wide LRU keyed by
-  (structural query fingerprint, strategy, registry identity, registry
-  version).
+  (structural query fingerprint, registry identity, registry version).
+  The executor kind is read off the query's shape
+  (:func:`~repro.core.compile.compile_query`), so the fingerprint
+  determines it.
 * The action program (:func:`~repro.engine.program.compile_actions`) captures
   the engine's tables, declarations, and counters — it stays per-engine,
   rebuilt by each :class:`~repro.engine.program.RuleExec`.
@@ -49,12 +51,11 @@ from collections import OrderedDict
 from typing import Dict, Tuple
 
 from ..core.builtins import PrimitiveRegistry
-from ..core.compile import CompiledGenericQuery, CompiledIndexedQuery, assign_slots
+from ..core.compile import assign_slots, compile_query
 from ..core.query import Query
-from .errors import EGraphError
 
-#: Cache key: (strategy, registry id, registry version, query fingerprint).
-PlanKey = Tuple[str, int, int, str]
+#: Cache key: (registry id, registry version, query fingerprint).
+PlanKey = Tuple[int, int, str]
 
 
 class CompiledPlan:
@@ -63,19 +64,12 @@ class CompiledPlan:
 
     __slots__ = ("slot_of", "slot_names", "n_slots", "query_exec", "registry")
 
-    def __init__(self, query: Query, strategy: str, registry: PrimitiveRegistry) -> None:
+    def __init__(self, query: Query, registry: PrimitiveRegistry) -> None:
         slot_of, slot_names = assign_slots(query)
         self.slot_of = slot_of
         self.slot_names = slot_names
         self.n_slots = len(slot_names)
-        if strategy == "indexed":
-            self.query_exec: object = CompiledIndexedQuery(
-                query, slot_of, self.n_slots, registry
-            )
-        elif strategy == "generic":
-            self.query_exec = CompiledGenericQuery(query, slot_of, self.n_slots, registry)
-        else:
-            raise EGraphError(f"no compiled executor for strategy {strategy!r}")
+        self.query_exec: object = compile_query(query, slot_of, self.n_slots, registry)
         #: Strong reference pinning the registry for this entry's lifetime —
         #: guarantees the ``id(registry)`` component of the key stays unique.
         self.registry = registry
@@ -100,10 +94,8 @@ class CompileCacheRegistry:
         self._misses = 0
         self._evictions = 0
 
-    def plan(
-        self, query: Query, strategy: str, registry: PrimitiveRegistry
-    ) -> CompiledPlan:
-        """The shared plan for ``query`` under ``strategy``; compiled on miss.
+    def plan(self, query: Query, registry: PrimitiveRegistry) -> CompiledPlan:
+        """The shared plan for ``query``; compiled on miss.
 
         Compilation happens outside the lock — two threads missing the same
         key may both compile, but plans for one key are interchangeable and
@@ -111,7 +103,7 @@ class CompileCacheRegistry:
         corruption).  That keeps an expensive compile from serializing every
         other session's cache hit.
         """
-        key: PlanKey = (strategy, id(registry), registry.version, repr(query))
+        key: PlanKey = (id(registry), registry.version, repr(query))
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
@@ -119,7 +111,7 @@ class CompileCacheRegistry:
                 self._hits += 1
                 return cached
             self._misses += 1
-        built = CompiledPlan(query, strategy, registry)
+        built = CompiledPlan(query, registry)
         with self._lock:
             self._plans[key] = built
             self._plans.move_to_end(key)

@@ -48,21 +48,17 @@ from .scheduler import Scheduler
 
 Key = Tuple[Value, ...]
 
-#: Available join strategies (Section 5.1: any relational join algorithm
-#: implements e-matching over the canonical database).  Each names one
-#: compiled executor in :mod:`repro.core.compile`.
-SEARCH_STRATEGIES: Tuple[str, ...] = ("indexed", "generic")
-
 
 class EGraph:
     """An egglog engine instance.
 
-    ``strategy`` selects the join algorithm for rule search and one-off
-    queries alike: ``"indexed"`` (index-nested-loop over hash indexes, the
-    default) or ``"generic"`` (worst-case-optimal generic join over column
-    tries, as in relational e-matching).  Tables build either kind of
-    index on first use and keep it exact on every write, so a strategy
-    pays only for the indexes its searches ask for.
+    Rule search and one-off queries pick their join from the shape of the
+    query body (Section 5.1: any relational join algorithm implements
+    e-matching over the canonical database): index-nested-loop over hash
+    indexes for α-acyclic bodies, worst-case-optimal generic join over
+    column tries for cyclic ones (see :mod:`repro.core.compile`).  Tables
+    build either kind of index on first use and keep it exact on every
+    write, so a body pays only for the indexes its search asks for.
 
     ``proofs`` (default True) keeps a proof forest alongside the union-find
     so :meth:`explain` can answer *why* two terms are equal; disable it to
@@ -72,7 +68,6 @@ class EGraph:
     def __init__(
         self,
         *,
-        strategy: str = "indexed",
         registry: Optional[PrimitiveRegistry] = None,
         proofs: bool = True,
     ) -> None:
@@ -114,31 +109,6 @@ class EGraph:
         self._eq_cols: Dict[str, List[Tuple[int, str]]] = {}
         self.scheduler = Scheduler(self)
         self._snapshots: List[dict] = []
-        self.set_strategy(strategy)
-
-    # -- strategy -------------------------------------------------------------
-
-    @property
-    def strategy(self) -> str:
-        """The active join strategy; assigning switches it (see set_strategy)."""
-        return self._strategy
-
-    @strategy.setter
-    def strategy(self, name: str) -> None:
-        self.set_strategy(name)
-
-    def set_strategy(self, name: str) -> None:
-        """Switch the join strategy mid-session.
-
-        Compiled rule executors are cached per strategy, so switching picks
-        (or builds) the matching plan — no stale cross-strategy state.
-        """
-        if name not in SEARCH_STRATEGIES:
-            raise EGraphError(
-                f"unknown search strategy {name!r}; pick one of "
-                f"{sorted(SEARCH_STRATEGIES)}"
-            )
-        self._strategy = name
 
     # -- compiled executors ---------------------------------------------------
 
@@ -177,17 +147,17 @@ class EGraph:
         return cols
 
     def rule_exec(self, rule: CompiledRule) -> RuleExec:
-        """The compiled executor for ``rule`` under the current strategy.
+        """The compiled executor for ``rule``.
 
-        Cached on the rule per strategy and pinned to the compile epoch;
-        a stale or missing entry is recompiled on demand (lazily, so rules
-        never run under one strategy cost nothing).
+        Cached on the rule and pinned to the compile epoch; a stale or
+        missing executor is recompiled on demand (lazily, so rules that
+        never run cost nothing).
         """
-        cached = rule.exec_cache.get(self._strategy)
+        cached = rule.cached_exec
         if cached is not None and cached.epoch == self._compile_epoch:
             return cached
-        built = RuleExec(self, rule, self._strategy)
-        rule.exec_cache[self._strategy] = built
+        built = RuleExec(self, rule)
+        rule.cached_exec = built
         return built
 
     def merge_fn(self, decl: FunctionDecl) -> Callable[[Value, Value], Value]:
@@ -750,14 +720,14 @@ class EGraph:
     # -- querying / checking --------------------------------------------------
 
     def search(self, query: Query) -> List[Substitution]:
-        """Every match of ``query`` under the engine's strategy.
+        """Every match of ``query``.
 
-        The query runs through the same compiled executor as a rule's full
-        search.  Its plan is built here rather than taken from the
+        The query runs through the executor a rule with the same body
+        would get.  Its plan is built here rather than taken from the
         process-wide plan cache, which keeps single-use plans (e.g. ground
         checks) from crowding out rule plans.
         """
-        plan = CompiledPlan(query, self._strategy, self.registry)
+        plan = CompiledPlan(query, self.registry)
         matches: List[Tuple[Value, ...]] = []
         plan.query_exec.search(self.tables, None, 0, matches.append)  # type: ignore[attr-defined]
         names = plan.slot_names
@@ -1045,23 +1015,19 @@ class EGraph:
         cls,
         path: str,
         *,
-        strategy: Optional[str] = None,
         registry: Optional[PrimitiveRegistry] = None,
     ) -> "EGraph":
         """Reconstruct an engine from a snapshot file.
 
-        ``strategy`` overrides the recorded join strategy (snapshots carry
-        no strategy-specific state, so they are freely portable between
-        strategies); ``registry`` substitutes a custom primitive registry,
-        which must provide every primitive the snapshot's rules and merges
-        reference.
+        ``registry`` substitutes a custom primitive registry, which must
+        provide every primitive the snapshot's rules and merges reference.
         """
         from ..serialize import load_engine
 
-        engine, _document = load_engine(path, strategy=strategy, registry=registry)
+        engine, _document = load_engine(path, registry=registry)
         return engine
 
-    def load(self, path: str, *, strategy: Optional[str] = None) -> dict:
+    def load(self, path: str) -> dict:
         """Replace this engine's state with a snapshot, in place.
 
         External references to this ``EGraph`` object stay valid and see
@@ -1071,11 +1037,7 @@ class EGraph:
         """
         from ..serialize import load_engine
 
-        fresh, document = load_engine(
-            path,
-            strategy=strategy if strategy is not None else self._strategy,
-            registry=self.registry,
-        )
+        fresh, document = load_engine(path, registry=self.registry)
         self.__dict__.update(fresh.__dict__)
         # The fresh engine's scheduler points at ``fresh``; rebind so runs
         # drive *this* object (they now share no other state).
@@ -1083,7 +1045,7 @@ class EGraph:
         self._snapshots = []
         return document
 
-    def fork(self, *, strategy: Optional[str] = None) -> "EGraph":
+    def fork(self) -> "EGraph":
         """An independent copy of this engine: a fresh engine restored from
         :meth:`snapshot_state`, the capture path push/pop and transactional
         batches use.
@@ -1100,17 +1062,12 @@ class EGraph:
 
         The fork *shares* this engine's primitive registry, which keeps the
         process-level compiled-plan cache (``repro.engine.compilecache``)
-        hot across sessions forked from one base.  ``strategy`` overrides
-        the fork's join strategy (defaults to the parent's).
+        hot across sessions forked from one base.
         """
-        child = EGraph(
-            strategy=strategy if strategy is not None else self._strategy,
-            registry=self.registry,
-            proofs=self.uf.proofs is not None,
-        )
+        child = EGraph(registry=self.registry, proofs=self.uf.proofs is not None)
         child.restore_state(self.snapshot_state())
         child.rules = {
-            name: replace(rule, exec_cache={}) for name, rule in child.rules.items()
+            name: replace(rule, cached_exec=None) for name, rule in child.rules.items()
         }
         return child
 

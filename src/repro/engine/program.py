@@ -341,7 +341,7 @@ def compile_actions(
 class RuleExec:
     """Everything one rule needs to run hot: plan, slots, action program.
 
-    Built by ``EGraph.rule_exec`` and cached on the rule per strategy;
+    Built by ``EGraph.rule_exec`` and cached on the rule;
     ``epoch`` pins it to the engine state it was compiled against — the
     engine bumps its compile epoch on push/pop and rule replacement, which
     invalidates every cached executor (closures capture tables and
@@ -357,7 +357,6 @@ class RuleExec:
 
     __slots__ = (
         "epoch",
-        "strategy",
         "slot_of",
         "slot_names",
         "n_slots",
@@ -366,14 +365,13 @@ class RuleExec:
         "reason",
     )
 
-    def __init__(self, egraph: "EGraph", rule: "CompiledRule", strategy: str) -> None:
+    def __init__(self, egraph: "EGraph", rule: "CompiledRule") -> None:
         self.epoch = egraph.compile_epoch
-        self.strategy = strategy
         #: Justification for unions this rule performs; baked into the
         #: compiled union ops and installed as the ambient reason while the
         #: scheduler applies this rule's matches.
         self.reason = rule_justification(rule.name)
-        plan = CACHE.plan(rule.query, strategy, egraph.registry)
+        plan = CACHE.plan(rule.query, egraph.registry)
         self.slot_of = plan.slot_of
         self.slot_names = plan.slot_names
         self.n_slots = plan.n_slots

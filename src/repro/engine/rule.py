@@ -17,7 +17,7 @@ with ``rhs``.  ``birewrite`` adds the symmetric rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union as TyUnion
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union as TyUnion
 
 from ..core.query import Arg, PrimAtom, Query, QVar, TableAtom
 from ..core.terms import Term, TermApp, TermLit, TermLike, TermVar, as_term
@@ -76,12 +76,10 @@ class CompiledRule:
     actions: Tuple[Action, ...]
     ruleset: str = DEFAULT_RULESET
     last_run: int = 0
-    #: Compiled executors keyed by strategy name (``repro.engine.program``).
-    #: Owned by the engine: entries are pinned to its compile epoch and
-    #: rebuilt on mismatch; a replaced rule starts with an empty cache.
-    exec_cache: Dict[str, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: The compiled executor (``repro.engine.program.RuleExec``).  Owned
+    #: by the engine: pinned to its compile epoch and rebuilt on mismatch;
+    #: a replaced rule starts without one.
+    cached_exec: Any = field(default=None, repr=False, compare=False)
 
 
 class _Gensym:

@@ -19,7 +19,6 @@ import sys
 from typing import List, Optional
 
 from .._version import package_version
-from ..engine.egraph import SEARCH_STRATEGIES
 from ..errors import ReproError
 from ..serialize import SnapshotError
 from .evaluator import Evaluator
@@ -35,13 +34,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="FILE",
         help=".egg program files to run in order ('-' reads stdin)",
-    )
-    parser.add_argument(
-        "-s",
-        "--strategy",
-        choices=sorted(SEARCH_STRATEGIES),
-        default="indexed",
-        help="join strategy for rule search (default: indexed)",
     )
     parser.add_argument(
         "--stats",
@@ -108,7 +100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("at least one FILE is required (or --load/--save)")
     evaluator: Optional[Evaluator] = None
     for path in args.files or [None]:
-        evaluator = Evaluator(strategy=args.strategy, sink=print)
+        evaluator = Evaluator(sink=print)
         if args.load:
             try:
                 evaluator.load_snapshot(args.load)

@@ -82,11 +82,10 @@ class Evaluator:
         self,
         egraph: Optional[EGraph] = None,
         *,
-        strategy: str = "indexed",
         sink: Optional[Callable[[str], None]] = None,
         file_io: bool = True,
     ) -> None:
-        self.egraph = egraph if egraph is not None else EGraph(strategy=strategy)
+        self.egraph = egraph if egraph is not None else EGraph()
         self.file_io = file_io
         self.globals: Dict[str, Value] = {}
         self._globals_stack: List[Dict[str, Value]] = []
@@ -681,9 +680,8 @@ class Evaluator:
     def load_snapshot(self, path: str) -> None:
         """Replace the session state — engine and globals — with a snapshot.
 
-        The engine keeps its configured join strategy rather than adopting
-        the saved session's.  The push/pop stack empties: pops cannot cross
-        a load (there is no earlier in-session state to return to).
+        The push/pop stack empties: pops cannot cross a load (there is no
+        earlier in-session state to return to).
         """
         document = self.egraph.load(path)
         surfaces = document.get("surfaces")
@@ -742,11 +740,6 @@ class Evaluator:
     }
 
 
-def run_program(
-    text: str,
-    filename: Optional[str] = None,
-    *,
-    strategy: str = "indexed",
-) -> List[str]:
+def run_program(text: str, filename: Optional[str] = None) -> List[str]:
     """Run one .egg program on a fresh engine; return its output lines."""
-    return Evaluator(strategy=strategy).run_program(text, filename)
+    return Evaluator().run_program(text, filename)

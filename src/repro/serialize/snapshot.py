@@ -24,7 +24,7 @@ Document layout::
     {
       "schema":   "repro.snapshot/v1",
       "digest":   "sha256:<hex of canonical meta/state/surfaces/replay>",
-      "meta":     {"generator": ..., "strategy": ..., "proofs": ...},
+      "meta":     {"generator": ..., "proofs": ...},
       "state":    {...engine state as above...},
       "surfaces": {...optional, owned by frontends (egg globals, dsl handles)...},
       "replay":   {...optional recorded schedule + expected facts...}
@@ -340,7 +340,6 @@ def engine_document(
         "schema": SCHEMA,
         "meta": {
             "generator": f"egglog-repro {package_version()}",
-            "strategy": engine.strategy,
             "proofs": engine.uf.proofs is not None,
         },
         "state": state,
@@ -378,30 +377,19 @@ def _encode_proofs(engine: EngineEGraph, forest: Optional[tuple]) -> Json:
 def engine_from_document(
     document: Dict[str, Any],
     *,
-    strategy: Optional[str] = None,
     registry: Any = None,
 ) -> EngineEGraph:
     """Reconstruct a fresh engine from a validated snapshot document.
 
-    ``strategy`` overrides the recorded join strategy (snapshots are
-    strategy-portable: only ``meta`` records it, no derived index state is
-    stored).  ``registry`` supplies a custom primitive registry; the
-    snapshot's functions and rules are validated against it.
+    ``registry`` supplies a custom primitive registry; the snapshot's
+    functions and rules are validated against it.  A ``meta.strategy``
+    written by older builds is ignored: each rule picks its join from the
+    shape of its body.
     """
     meta = require(document, "meta", dict, "document")
     state = require(document, "state", dict, "document")
     proofs = bool(meta.get("proofs", True))
-    recorded_strategy = meta.get("strategy", "indexed")
-    if not isinstance(recorded_strategy, str):
-        raise SnapshotFormatError(f"meta.strategy must be a string, got {recorded_strategy!r}")
-    try:
-        engine = EngineEGraph(
-            strategy=strategy if strategy is not None else recorded_strategy,
-            registry=registry,
-            proofs=proofs,
-        )
-    except EGraphError as error:
-        raise SnapshotFormatError(str(error)) from None
+    engine = EngineEGraph(registry=registry, proofs=proofs)
 
     _load_coercions(state)
     _load_sorts(engine, state)
@@ -592,10 +580,9 @@ def save_engine(
 def load_engine(
     path: str,
     *,
-    strategy: Optional[str] = None,
     registry: Any = None,
 ) -> Tuple[EngineEGraph, Dict[str, Any]]:
     """Load ``path``; returns the reconstructed engine and the document."""
     document = read_document(path)
-    engine = engine_from_document(document, strategy=strategy, registry=registry)
+    engine = engine_from_document(document, registry=registry)
     return engine, document

@@ -5,7 +5,7 @@ Endpoints (all JSON; see ``docs/SERVER.md`` for full schemas)::
     GET    /healthz                   liveness + version
     GET    /stats                     manager + compile-cache counters
     GET    /bases                     list bases
-    POST   /bases                     {"name", "program"} | {"name", "snapshot_path"}
+    POST   /bases                     {"name", "program"}
     DELETE /bases/<name>              forget a base (live forks unaffected)
     GET    /sessions                  list sessions
     POST   /sessions                  {"base": name?} -> {"session": {...}}
@@ -67,6 +67,13 @@ _ERROR_STATUS = (
 
 #: Sent with every 503 so well-behaved clients back off before retrying.
 RETRY_AFTER_S = 1
+
+#: The 403 body for ``POST /bases {"snapshot_path"}``, identical for every
+#: path.  Snapshot bases are an operator's choice, made at start-up.
+SNAPSHOT_PATH_REFUSED = (
+    "snapshot_path is refused over HTTP: the server opens no file for a "
+    "client; preload snapshot bases with repro-serve --base NAME=PATH.json"
+)
 
 
 def _status_of(error: SessionError) -> int:
@@ -215,21 +222,14 @@ class App:
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise HttpError(400, "field 'name' must be a non-empty string")
+        if "snapshot_path" in payload:
+            # One fixed answer whatever the path: the server opens no file
+            # for a network client, so the reply cannot probe its disk.
+            raise HttpError(403, SNAPSHOT_PATH_REFUSED)
         program = payload.get("program")
-        snapshot_path = payload.get("snapshot_path")
-        if (program is None) == (snapshot_path is None):
-            raise HttpError(400, "provide exactly one of 'program' or 'snapshot_path'")
-        if program is not None:
-            if not isinstance(program, str):
-                raise HttpError(400, "field 'program' must be a string")
-            info = self.manager.add_base_from_program(name, program)
-        else:
-            if not isinstance(snapshot_path, str):
-                raise HttpError(400, "field 'snapshot_path' must be a string")
-            try:
-                info = self.manager.add_base_from_snapshot(name, snapshot_path)
-            except OSError as error:
-                raise HttpError(400, f"cannot read snapshot: {error}") from None
+        if not isinstance(program, str):
+            raise HttpError(400, "field 'program' must be a string")
+        info = self.manager.add_base_from_program(name, program)
         return 201, {"ok": True, "base": info}
 
     def _session_route(

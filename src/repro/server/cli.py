@@ -22,7 +22,7 @@ import signal
 import sys
 from typing import List, Optional
 
-from ..engine import SEARCH_STRATEGIES
+from ..serialize import SnapshotError
 from ..session import SessionError, SessionManager
 from .app import App
 from .http import serve
@@ -36,12 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default %(default)s)")
     parser.add_argument(
         "--port", type=int, default=8642, help="bind port; 0 picks one (default %(default)s)"
-    )
-    parser.add_argument(
-        "--strategy",
-        default="indexed",
-        choices=SEARCH_STRATEGIES,
-        help="join strategy for every engine (default %(default)s)",
     )
     parser.add_argument(
         "--max-sessions",
@@ -121,7 +115,7 @@ def _preload_bases(manager: SessionManager, specs: List[str]) -> None:
             else:
                 with open(path, "r", encoding="utf-8") as handle:
                     info = manager.add_base_from_program(name, handle.read())
-        except (OSError, SessionError) as error:
+        except (OSError, SessionError, SnapshotError) as error:
             raise SystemExit(f"repro-serve: cannot load base {name!r}: {error}") from error
         print(f"repro-serve base {name!r}: {info['functions']} function(s), "
               f"{info['rows']} row(s) [{info['source']}]", flush=True)
@@ -169,7 +163,6 @@ async def _run(app: App, host: str, port: int, args: argparse.Namespace) -> None
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     manager = SessionManager(
-        strategy=args.strategy,
         max_sessions=args.max_sessions,
         idle_ttl_s=args.idle_ttl,
         state_dir=args.state_dir,

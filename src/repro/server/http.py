@@ -28,6 +28,7 @@ _STATUS_TEXT = {
     201: "Created",
     204: "No Content",
     400: "Bad Request",
+    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",

@@ -267,14 +267,12 @@ class SessionManager:
     def __init__(
         self,
         *,
-        strategy: str = "indexed",
         max_sessions: int = 64,
         idle_ttl_s: Optional[float] = None,
         state_dir: Optional[str] = None,
     ) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
-        self.strategy = strategy
         self.max_sessions = max_sessions
         self.idle_ttl_s = idle_ttl_s
         self._lock = threading.RLock()
@@ -315,7 +313,7 @@ class SessionManager:
         registry — so every fork starts with the cache hot.
         """
         self._check_base_name(name)
-        evaluator = Evaluator(strategy=self.strategy, file_io=False)
+        evaluator = Evaluator(file_io=False)
         try:
             evaluator.run_program(text, f"<base {name}>")
         except FrontendError as error:
@@ -332,7 +330,7 @@ class SessionManager:
         """
         self._check_base_name(name)
         document = read_document(path)
-        engine = engine_from_document(document, strategy=self.strategy)
+        engine = engine_from_document(document)
         globals_values = decode_values(_egg_globals(document), "egg globals")
         return self._install_base(name, engine, globals_values, "snapshot")
 
@@ -374,14 +372,10 @@ class SessionManager:
                 if base not in self._bases:
                     raise UnknownBaseError(f"no base named {base!r}")
                 info = self._bases[base]
-                session = self._new_session(
-                    base, info.engine.fork(strategy=self.strategy), info.globals_values
-                )
+                session = self._new_session(base, info.engine.fork(), info.globals_values)
                 info.forks += 1
             else:
-                session = Session(
-                    self._next_id(), None, Evaluator(strategy=self.strategy, file_io=False)
-                )
+                session = Session(self._next_id(), None, Evaluator(file_io=False))
         self._admit(session)
         return session
 
@@ -544,7 +538,7 @@ class SessionManager:
             self._restoring.add(session_id)
         try:
             try:
-                evaluator, meta = self.store.load(session_id, strategy=self.strategy)
+                evaluator, meta = self.store.load(session_id)
             except CheckpointError:
                 with self._lock:
                     self.restore_failures += 1
@@ -657,7 +651,6 @@ class SessionManager:
                 "max_sessions": self.max_sessions,
                 "bases": len(self._bases),
                 "evictions": self.evictions,
-                "strategy": self.strategy,
                 "idle_ttl_s": self.idle_ttl_s,
                 "durability": durability,
                 "compile_cache": CACHE.stats(),

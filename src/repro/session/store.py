@@ -87,7 +87,7 @@ class CheckpointStore:
         }
         return save_engine(session.engine, self.path(session.id), surfaces=surfaces)
 
-    def load(self, session_id: str, *, strategy: str) -> Tuple[Evaluator, Dict[str, Any]]:
+    def load(self, session_id: str) -> Tuple[Evaluator, Dict[str, Any]]:
         """Re-hydrate a checkpointed session's evaluator (engine + globals).
 
         Returns the evaluator and the checkpoint's ``surfaces.session``
@@ -101,7 +101,7 @@ class CheckpointStore:
             # same path as a real load failure: CheckpointError, counted
             # by the manager's restore_failures accounting.
             trip("restore", tag=session_id)
-            engine, document = load_engine(path, strategy=strategy)
+            engine, document = load_engine(path)
         except Exception as error:
             raise CheckpointError(
                 f"checkpoint {path} is unreadable: {error}"

@@ -11,9 +11,10 @@ from repro.bench.workloads import (
     congruence_stress,
     math_rewriting,
     transitive_closure,
+    triangles,
 )
 
-TINY_VARIANTS = {"generic-index": "generic", "indexed": "indexed"}
+from .conftest import EXECUTORS, forced_executor
 
 
 def tiny_tc():
@@ -60,6 +61,7 @@ def test_default_workloads_cover_all_families():
         "math-rewriting",
         "congruence-closure",
         "proof-production",
+        "triangle",
     }
 
 
@@ -67,13 +69,14 @@ def test_default_workloads_cover_all_families():
 
 
 def test_run_workload_document_schema():
-    document = run_workload(tiny_tc(), TINY_VARIANTS, repeats=3)
+    document = run_workload(tiny_tc(), repeats=3)
     assert document["schema"] == SCHEMA == "repro.bench/v2"
     assert document["name"] == "tc_chain"
-    assert set(document["variants"]) == set(TINY_VARIANTS)
+    # One engine variant: each rule picks its join from its body.
+    assert list(document["variants"]) == ["default"]
     for entry in document["variants"].values():
+        assert "strategy" not in entry
         for field in (
-            "strategy",
             "run_s",
             "run_s_stats",
             "runs_s",
@@ -94,8 +97,6 @@ def test_run_workload_document_schema():
         assert stats["min"] <= stats["median"] <= stats["max"]
         assert stats["median"] in entry["runs_s"]  # an actually measured run
         assert entry["run_s"] == stats["median"]
-    # Variants are engine strategies, measured side by side; none is a
-    # baseline for another.
     assert "comparison" not in document
 
 
@@ -129,24 +130,27 @@ def test_gc_paused_disables_gc_only_inside_the_region():
 
 
 def test_variants_agree_on_results():
+    # Forcing every rule onto either executor changes no number the gate
+    # checks exactly.
     workloads = [
         tiny_tc(),
         math_rewriting(depth=3, iterations=3),
         congruence_stress(leaves=8, height=3),
+        triangles(n=12, m=40),
     ]
+    semantic = ("matches", "iterations", "saturated", "table_rows")
     for workload in workloads:
-        document = run_workload(workload, TINY_VARIANTS, repeats=1)
-        sizes = {
-            variant: entry["table_rows"]
-            for variant, entry in document["variants"].items()
-        }
-        assert sizes["generic-index"] == sizes["indexed"], workload.name
+        results = []
+        for name in EXECUTORS:
+            with forced_executor(name):
+                entry = run_workload(workload, repeats=1)["variants"]["default"]
+            results.append({field: entry[field] for field in semantic})
+        assert results[0] == results[1], workload.name
 
 
 def test_write_document_and_run_suite(tmp_path):
     paths = run_suite(
         [tiny_tc()],
-        variants=TINY_VARIANTS,
         repeats=1,
         out_dir=tmp_path,
         log=lambda line: None,
@@ -168,20 +172,7 @@ def test_cli_list(capsys):
 
 
 def test_cli_only_filter_writes_single_file(tmp_path, capsys):
-    assert (
-        bench_main(
-            [
-                "--quick",
-                "--only",
-                "tc_chain",
-                "--out",
-                str(tmp_path),
-                "--variants",
-                "generic-index,indexed",
-            ]
-        )
-        == 0
-    )
+    assert bench_main(["--quick", "--only", "tc_chain", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == [
         "BENCH_tc_chain.json"
     ]
@@ -191,11 +182,6 @@ def test_cli_only_filter_writes_single_file(tmp_path, capsys):
 def test_cli_rejects_unknown_selection(tmp_path, capsys):
     assert bench_main(["--only", "nope", "--out", str(tmp_path)]) == 1
     assert "no workload matches" in capsys.readouterr().err
-    assert bench_main(["--variants", "warp-drive", "--out", str(tmp_path)]) == 1
-    assert "unknown variant" in capsys.readouterr().err
-    # Variants are engine strategies only.
-    assert bench_main(["--variants", "generic-adhoc", "--out", str(tmp_path)]) == 1
-    assert "unknown variant(s) generic-adhoc" in capsys.readouterr().err
 
 
 def test_cli_profile_prints_hot_functions(tmp_path, capsys):
@@ -206,7 +192,7 @@ def test_cli_profile_prints_hot_functions(tmp_path, capsys):
         == 0
     )
     out = capsys.readouterr().out
-    assert "profile: tc_chain [generic]" in out or "profile: tc_chain [indexed]" in out
+    assert "profile: tc_chain — top 20 by cumulative time" in out
     assert "cumulative" in out  # pstats column header
     assert not list(tmp_path.glob("BENCH_*.json"))  # profiling writes no files
 
@@ -219,7 +205,7 @@ def _gate_documents(tmp_path):
 
     committed = tmp_path / "committed"
     fresh = tmp_path / "fresh"
-    document = run_workload(tiny_tc(), TINY_VARIANTS, repeats=1)
+    document = run_workload(tiny_tc(), repeats=1)
     write_document(document, committed)
     write_document(document, fresh)
     return committed, fresh
@@ -252,7 +238,7 @@ def test_compare_fails_on_semantic_drift(tmp_path, capsys):
     committed, fresh = _gate_documents(tmp_path)
     path = fresh / "BENCH_tc_chain.json"
     document = json.loads(path.read_text())
-    document["variants"]["generic-index"]["matches"] += 1
+    document["variants"]["default"]["matches"] += 1
     path.write_text(json.dumps(document))
     assert compare_main([str(fresh), "--against", str(committed)]) == 1
     assert "matches changed" in capsys.readouterr().out
@@ -284,9 +270,9 @@ def test_compare_fails_when_committed_variant_goes_missing(tmp_path, capsys):
     committed, fresh = _gate_documents(tmp_path)
     path = fresh / "BENCH_tc_chain.json"
     document = json.loads(path.read_text())
-    # Simulate a variant rename: the committed "generic-index" vanishes
-    # from the fresh run.  The gate must not pass vacuously.
-    document["variants"]["renamed"] = document["variants"].pop("generic-index")
+    # Simulate a variant rename: the committed "default" vanishes from the
+    # fresh run.  The gate must not pass vacuously.
+    document["variants"]["renamed"] = document["variants"].pop("default")
     path.write_text(json.dumps(document))
     assert compare_main([str(fresh), "--against", str(committed)]) == 1
     assert "missing from the fresh run" in capsys.readouterr().out
@@ -301,7 +287,7 @@ def test_compare_errors_when_nothing_to_compare(tmp_path, capsys):
     fresh = tmp_path / "fresh-only"
     from repro.bench.runner import write_document
 
-    write_document(run_workload(tiny_tc(), TINY_VARIANTS, repeats=1), fresh)
+    write_document(run_workload(tiny_tc(), repeats=1), fresh)
     assert compare_main([str(fresh), "--against", str(empty)]) == 1
     assert "nothing to compare" in capsys.readouterr().out
 

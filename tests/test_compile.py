@@ -4,8 +4,8 @@ Covers the compilation layer (``repro.core.compile`` +
 ``repro.engine.program``): compiled searches must agree with the naive
 oracle in ``tests/reference.py``, compiled action programs must agree with
 ``run_actions``, and every event that can strand a stale plan — a rule
-edited through a ruleset, push/pop around a compiled run, a strategy switch
-mid-session — must recompile (no stale-slot reads).
+edited through a ruleset, push/pop around a compiled run — must recompile
+(no stale-slot reads).
 """
 
 import pytest
@@ -21,13 +21,12 @@ from repro.engine import EGraph, EGraphError, Rule
 from repro.engine.actions import Delete, Expr, Let, Panic, Set, Union, run_actions
 from repro.engine.rule import compile_facts
 
+from .conftest import EXECUTORS, forced_executor
 from .reference import evaluate
 
-STRATEGIES = ["indexed", "generic"]
 
-
-def tc_engine(strategy="indexed", edges=((1, 2), (2, 3), (3, 4), (1, 3))):
-    eg = EGraph(strategy=strategy)
+def tc_engine(edges=((1, 2), (2, 3), (3, 4), (1, 3))):
+    eg = EGraph()
     eg.relation("edge", (I64, I64))
     eg.relation("path", (I64, I64))
     eg.add_rules(
@@ -68,9 +67,8 @@ def test_assign_slots_table_vars_first_then_prim_vars():
 # -- compiled search vs the naive oracle --------------------------------------
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compiled_search_matches_interpreted(strategy):
-    eg = tc_engine(strategy)
+def test_compiled_search_matches_interpreted(executor):
+    eg = tc_engine()
     eg.run(10)
     matches = eg.query(App("path", V("a"), V("b")))
     assert len(matches) == len(path_rows(eg))
@@ -85,9 +83,10 @@ def test_compiled_search_matches_interpreted(strategy):
 
 def test_all_strategies_agree_on_closure():
     closures = []
-    for strategy in STRATEGIES:
-        eg = tc_engine(strategy, edges=((1, 2), (2, 3), (2, 4), (4, 1)))
-        report = eg.run(16)
+    for name in EXECUTORS:
+        with forced_executor(name):
+            eg = tc_engine(edges=((1, 2), (2, 3), (2, 4), (4, 1)))
+            report = eg.run(16)
         assert report.saturated
         closures.append(path_rows(eg))
     assert closures[0] == closures[1]
@@ -197,7 +196,7 @@ def test_action_program_panic_and_fire_time_errors():
     assert (i64(7),) in eg.tables["r"].data
 
 
-# -- cache invalidation: rule edits, push/pop, strategy switches --------------
+# -- cache invalidation: rule edits, push/pop --------------------------------
 
 
 def test_engine_replace_rule_recompiles_and_resets_watermark():
@@ -273,9 +272,8 @@ def test_dsl_ruleset_replace_recompiles():
     assert engine_rule.ruleset == "elsewhere"
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
-def test_push_pop_across_compiled_run(strategy):
-    eg = tc_engine(strategy)
+def test_push_pop_across_compiled_run(executor):
+    eg = tc_engine()
     eg.run(10)  # compile + run
     before = path_rows(eg)
     epoch = eg.compile_epoch
@@ -303,11 +301,10 @@ def test_push_pop_across_compiled_run(strategy):
     assert (1, 6) in path_rows(eg)
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
-def test_one_off_queries_never_touch_the_plan_cache(strategy):
+def test_one_off_queries_never_touch_the_plan_cache(executor):
     from repro.engine.compilecache import CACHE
 
-    eg = tc_engine(strategy, edges=[(n, n + 1) for n in range(15)])
+    eg = tc_engine(edges=[(n, n + 1) for n in range(15)])
     eg.run(20)  # every rule's plan is now cached
     before = CACHE.stats()
     pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)][:100]
@@ -316,32 +313,12 @@ def test_one_off_queries_never_touch_the_plan_cache(strategy):
     assert CACHE.stats() == before
 
 
-def test_strategy_switch_mid_session_recompiles():
-    eg = tc_engine("indexed")
-    eg.run(3)
-    exec_indexed = eg.rule_exec(eg.rules["step"])
-    eg.strategy = "generic"
-    exec_generic = eg.rule_exec(eg.rules["step"])
-    assert exec_generic is not exec_indexed
-    assert exec_generic.strategy == "generic"
-    eg.run(10)
-    fresh = tc_engine("generic")
-    fresh.run(13)
-    assert path_rows(eg) == path_rows(fresh)
-    # Switching back re-uses the cached indexed executor (same epoch).
-    eg.set_strategy("indexed")
-    assert eg.rule_exec(eg.rules["step"]) is exec_indexed
-    with pytest.raises(EGraphError, match="unknown search strategy"):
-        eg.set_strategy("quantum")
-
-
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("edge"), st.integers(0, 5), st.integers(0, 5)),
         st.just(("run",)),
         st.just(("push",)),
         st.just(("pop",)),
-        st.just(("switch",)),
         st.just(("edit",)),
     ),
     max_size=14,
@@ -351,24 +328,29 @@ OPS = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(ops=OPS)
 def test_invalidation_interleavings_agree_across_strategies(ops):
-    """Random interleavings of run/push/pop/edit/switch on two engines.
+    """Random interleavings of run/push/pop/edit on two engines.
 
-    Engine A starts on "indexed" and toggles strategies on ``switch``;
-    engine B stays on "generic".  Whatever the interleaving, both must end
-    with identical path closures — a stale compiled plan or program on
-    either side would diverge.
+    Engine A runs every rule on index-nested-loop join, engine B on generic
+    join.  Whatever the interleaving, both must end with identical path
+    closures — a stale compiled plan or program on either side would
+    diverge.
     """
-    engines = [tc_engine("indexed", edges=()), tc_engine("generic", edges=())]
+    engines = [tc_engine(edges=()), tc_engine(edges=())]
+
+    def run_all(limit):
+        # Executors compile lazily, on the first run after an epoch bump.
+        for eg, name in zip(engines, EXECUTORS):
+            with forced_executor(name):
+                eg.run(limit)
+
     depth = 0
     edited = False
-    toggle = ["indexed", "generic"]
     for op in ops:
         if op[0] == "edge":
             for eg in engines:
                 eg.add(App("edge", op[1], op[2]))
         elif op[0] == "run":
-            for eg in engines:
-                eg.run(8)
+            run_all(8)
         elif op[0] == "push":
             depth += 1
             for eg in engines:
@@ -377,9 +359,6 @@ def test_invalidation_interleavings_agree_across_strategies(ops):
             depth -= 1
             for eg in engines:
                 eg.pop()
-        elif op[0] == "switch":
-            toggle.reverse()
-            engines[0].set_strategy(toggle[0])
         elif op[0] == "edit":
             edited = not edited
             action = (
@@ -394,8 +373,7 @@ def test_invalidation_interleavings_agree_across_strategies(ops):
             )
             for eg in engines:
                 eg.replace_rule(Rule(name="step", facts=facts, actions=[action]))
-    for eg in engines:
-        eg.run(24)
+    run_all(24)
     assert path_rows(engines[0]) == path_rows(engines[1])
 
 

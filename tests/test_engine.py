@@ -21,9 +21,11 @@ from repro.engine import (
 )
 from repro.engine.actions import run_actions
 
+from .conftest import EXECUTORS, forced_executor
 
-def path_engine(strategy="indexed"):
-    eg = EGraph(strategy=strategy)
+
+def path_engine():
+    eg = EGraph()
     eg.relation("edge", (I64, I64))
     eg.function("path", (I64, I64), I64, merge="min")
     eg.add_rule(
@@ -43,9 +45,8 @@ def path_engine(strategy="indexed"):
     return eg
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
-def test_path_reaches_fixpoint_with_min_merge(strategy):
-    eg = path_engine(strategy)
+def test_path_reaches_fixpoint_with_min_merge(executor):
+    eg = path_engine()
     for a, b in [(1, 2), (2, 3), (3, 4), (1, 3)]:
         eg.add(App("edge", a, b))
     report = eg.run(limit=50)
@@ -62,11 +63,12 @@ def test_path_reaches_fixpoint_with_min_merge(strategy):
 
 def test_strategies_compute_identical_path_tables():
     results = []
-    for strategy in ("indexed", "generic"):
-        eg = path_engine(strategy)
-        for a, b in [(1, 2), (2, 3), (3, 4), (1, 3), (4, 1)]:
-            eg.add(App("edge", a, b))
-        eg.run(limit=50)
+    for name in EXECUTORS:
+        with forced_executor(name):
+            eg = path_engine()
+            for a, b in [(1, 2), (2, 3), (3, 4), (1, 3), (4, 1)]:
+                eg.add(App("edge", a, b))
+            eg.run(limit=50)
         results.append(
             sorted(
                 ((k[0].data, k[1].data), v.data) for k, v in eg.table_rows("path")
@@ -278,9 +280,8 @@ def test_check_and_query_on_facts():
         eg.query(App("edgez", V("x"), V("y")))
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
-def test_wrong_arity_atoms_and_terms_are_rejected(strategy):
-    eg = EGraph(strategy=strategy)
+def test_wrong_arity_atoms_and_terms_are_rejected(executor):
+    eg = EGraph()
     eg.relation("edge", (I64, I64))
     eg.function("dist", (I64, I64), I64, merge="min")
     eg.add(App("edge", 1, 2))

@@ -106,14 +106,6 @@ def test_engine_fork_matches_document_round_trip_byte_for_byte():
     assert dumps_document(engine_document(parent)) == before
 
 
-def test_engine_fork_can_switch_strategy():
-    parent = chain_engine()
-    child = parent.fork(strategy="generic")
-    child.run(100)
-    assert child.check(App("path", 1, 7)) == 1
-    assert parent.strategy == "indexed" and child.strategy == "generic"
-
-
 # ---------------------------------------------------------------------------
 # DSL-level fork
 # ---------------------------------------------------------------------------

@@ -367,16 +367,6 @@ def test_cli_stats_reports_rule_matches_and_phase_timings(tmp_path, capsys):
     assert "stats: rule matches: copy=2" in out
 
 
-def test_cli_generic_strategy(tmp_path, capsys):
-    program = tmp_path / "ok.egg"
-    program.write_text(
-        "(relation e (i64 i64))\n(e 1 2)\n(e 2 3)\n(relation p (i64 i64))\n"
-        "(rule ((e x y) (e y z)) ((p x z)))\n(run 5)\n(check (p 1 3))\n"
-    )
-    assert cli_main(["--strategy", "generic", str(program)]) == 0
-    assert "check: ok" in capsys.readouterr().out
-
-
 # -- per-sort literal parsing / coercion (core/values.py) ---------------------
 
 

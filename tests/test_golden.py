@@ -20,6 +20,8 @@ import pytest
 from repro.frontend import Evaluator
 from repro.frontend.cli import main as cli_main
 
+from .conftest import EXECUTORS
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = sorted(GOLDEN_DIR.glob("*.egg"))
 EXAMPLES = sorted((pathlib.Path(__file__).parents[1] / "examples").glob("*.egg"))
@@ -52,14 +54,12 @@ def test_golden(path):
     )
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
-def test_golden_strategy_independent(path, strategy):
-    """Both join strategies must produce identical program output."""
-    lines = Evaluator(strategy=strategy).run_program(path.read_text(), str(path))
-    expected_path = path.with_suffix(".expected")
-    if expected_path.exists():
-        assert "".join(line + "\n" for line in lines) == expected_path.read_text()
+def test_golden_strategy_independent(path, executor):
+    """Forcing every rule and query onto either join executor leaves the
+    program output byte-identical."""
+    assert run_file(path) == path.with_suffix(".expected").read_text()
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)

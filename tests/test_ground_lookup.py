@@ -3,7 +3,7 @@
 The index-nested-loop executor (the compiled ``_IndexedStep``) skips hash
 indexes when every argument of an atom is a constant or already bound: the
 row is fetched by key and its output checked.  Answers must not change
-under either strategy, and a ground ``check`` on a fresh fork must build no
+under either executor, and a ground ``check`` on a fresh fork must build no
 index at all.
 """
 
@@ -16,12 +16,10 @@ from repro.engine.actions import Expr
 
 from .reference import evaluate
 
-STRATEGIES = ["indexed", "generic"]
 
-
-def dist_engine(strategy="indexed"):
+def dist_engine():
     """``dist`` (i64 output, defaults to 5), ``edge``, and an arity-0 ``answer``."""
-    eg = EGraph(strategy=strategy)
+    eg = EGraph()
     eg.function("dist", (I64, I64), I64, default=5)
     eg.relation("edge", (I64, I64))
     eg.relation("hop", (I64, I64))
@@ -41,9 +39,8 @@ def answers(eg, *facts):
     )
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_ground_facts_answer_the_same_under_every_strategy(strategy):
-    eg = dist_engine(strategy)
+def test_ground_facts_answer_the_same_under_every_strategy(executor):
+    eg = dist_engine()
     # A present fact, an absent fact, and a present key with another output.
     assert eg.check(eq(App("dist", 1, 2), 5)) == 1
     assert answers(eg, eq(App("dist", 2, 1), 5)) == []
@@ -60,9 +57,8 @@ def test_ground_facts_answer_the_same_under_every_strategy(strategy):
     ]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_arity_zero_function_answers_by_key(strategy):
-    eg = dist_engine(strategy)
+def test_arity_zero_function_answers_by_key(executor):
+    eg = dist_engine()
     assert answers(eg, eq(V("x"), App("answer"))) == []
     with pytest.raises(CheckError):
         eg.check(eq(App("answer"), 42))
@@ -73,7 +69,7 @@ def test_arity_zero_function_answers_by_key(strategy):
 
 
 def test_compiled_fully_bound_atom_matches_interpreted_search():
-    eg = dist_engine("indexed")
+    eg = dist_engine()
     # hop(x, y) is fully bound by edge(x, y): whichever order the planner
     # picks, the second atom is a key probe in both executors.
     for a, b in [(2, 3), (3, 4), (9, 9)]:

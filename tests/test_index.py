@@ -10,7 +10,9 @@ cases pin the mechanics, including copy-on-write snapshots; a hypothesis
 property drives random op sequences; engine-level cases cover unions,
 rebuilding and snapshot restore through the real write paths, and pin
 why maintenance stays: a large table written every iteration is built
-into each trie once, not once per search.
+into each trie once, not once per search.  Their rule bodies are acyclic,
+which the engine runs on index-nested-loop join; the ``generic_join``
+fixture forces generic join so that the searches read tries.
 """
 
 import random
@@ -27,6 +29,7 @@ from repro.core.values import I64, UNIT_VALUE, i64
 from repro.engine import EGraph, Rule
 from repro.engine.actions import Expr
 
+from .conftest import EXECUTORS, forced_executor
 from .reference import evaluate
 
 
@@ -209,8 +212,14 @@ def test_plan_atom_constants_first_and_repeated_vars_fall_back():
 # ---------------------------------------------------------------------------
 
 
-def tc_engine(strategy="generic"):
-    egraph = EGraph(strategy=strategy)
+@pytest.fixture
+def generic_join():
+    with forced_executor("generic"):
+        yield
+
+
+def tc_engine():
+    egraph = EGraph()
     egraph.relation("edge", ("i64", "i64"))
     egraph.relation("path", ("i64", "i64"))
     egraph.add_rules(
@@ -237,7 +246,7 @@ def assert_all_indexes_match(egraph):
         assert_tries_exact(table)
 
 
-def test_first_generic_search_builds_planned_orderings():
+def test_first_generic_search_builds_planned_orderings(generic_join):
     egraph = tc_engine()
     egraph.add(App("edge", 1, 2))
     assert not holds_tries(egraph)  # adding a rule builds nothing
@@ -246,7 +255,7 @@ def test_first_generic_search_builds_planned_orderings():
     assert (1, 0, 2) in egraph.tables["path"]._tries
 
 
-def test_indexes_survive_run_union_rebuild_pushpop_interleaving():
+def test_indexes_survive_run_union_rebuild_pushpop_interleaving(generic_join):
     egraph = tc_engine()
     for a, b in [(1, 2), (2, 3), (3, 4)]:
         egraph.add(App("edge", a, b))
@@ -268,8 +277,8 @@ def test_indexes_survive_run_union_rebuild_pushpop_interleaving():
     assert_all_indexes_match(egraph)
 
 
-def test_indexes_follow_canonicalization_during_rebuild():
-    egraph = EGraph(strategy="generic")
+def test_indexes_follow_canonicalization_during_rebuild(generic_join):
+    egraph = EGraph()
     egraph.declare_sort("V")
     egraph.constructor("Leaf", ("i64",), "V")
     egraph.constructor("F", ("V",), "V")
@@ -293,22 +302,23 @@ def test_indexes_follow_canonicalization_during_rebuild():
 
 def test_generic_and_indexed_agree_and_only_generic_builds_tries():
     results = {}
-    for strategy in ("generic", "indexed"):
-        egraph = tc_engine(strategy)
-        for a, b in [(1, 2), (2, 3), (3, 1), (3, 4)]:
-            egraph.add(App("edge", a, b))
-        egraph.run(12)
-        assert egraph.check(App("path", 1, 4)) == 1
-        assert len(egraph.query(App("path", V("a"), V("b")))) == 12
-        # Each strategy builds only the kind of index its searches read.
-        assert holds_tries(egraph) == (strategy == "generic")
-        results[strategy] = sorted(
+    for name in EXECUTORS:
+        with forced_executor(name):
+            egraph = tc_engine()
+            for a, b in [(1, 2), (2, 3), (3, 1), (3, 4)]:
+                egraph.add(App("edge", a, b))
+            egraph.run(12)
+            assert egraph.check(App("path", 1, 4)) == 1
+            assert len(egraph.query(App("path", V("a"), V("b")))) == 12
+        # Each executor builds only the kind of index its searches read.
+        assert holds_tries(egraph) == (name == "generic")
+        results[name] = sorted(
             (k[0].data, k[1].data) for k, _v in egraph.table_rows("path")
         )
     assert results["generic"] == results["indexed"]
 
 
-def test_fresh_fork_holds_no_trie_until_its_first_generic_search():
+def test_fresh_fork_holds_no_trie_until_its_first_generic_search(generic_join):
     parent = tc_engine()
     for a, b in [(1, 2), (2, 3)]:
         parent.add(App("edge", a, b))
@@ -331,7 +341,7 @@ def small_delta_engine(n):
     """The small-delta shape: ``big`` holds ``4 * n`` rows and is written
     every iteration (``big(x, x)`` per newly reached ``x``), while
     ``reach`` grows by a few rows per iteration and joins ``big``."""
-    egraph = EGraph(strategy="generic")
+    egraph = EGraph()
     egraph.relation("big", (I64, I64))
     egraph.relation("seed", (I64,))
     egraph.relation("reach", (I64,))
@@ -367,7 +377,7 @@ def reference_delta_matches(egraph, rule):
     }
 
 
-def test_small_delta_run_builds_each_trie_once_from_all_rows(monkeypatch):
+def test_small_delta_run_builds_each_trie_once_from_all_rows(monkeypatch, generic_join):
     builds = Counter()
     build_sizes = {}
     real_trie = Table.trie

@@ -1,7 +1,9 @@
 """Every compiled join executor must agree with the naive oracle in
 ``tests/reference.py`` — hand-picked queries and random fuzz.
 
-Three configurations are checked: the index-nested-loop executor, the
+The executors are built directly, whatever the shape of the query, so
+each runs every query here, cyclic or not.  Three configurations are
+checked: the index-nested-loop executor, the
 generic-join executor on tables that hold no trie yet (the search builds
 each one from the rows), and the generic-join executor on tables whose
 tries were requested before any row arrived, so every row reached them by
@@ -12,30 +14,32 @@ and atoms with a repeated variable get a trie built per search.
 import pytest
 
 from repro.core.builtins import default_registry
+from repro.core.compile import CompiledGenericQuery, CompiledIndexedQuery, assign_slots
 from repro.core.database import Table
 from repro.core.index import plan_query
 from repro.core.query import PrimAtom, Query, QVar, TableAtom
 from repro.core.schema import FunctionDecl
 from repro.core.values import I64, UNIT, UNIT_VALUE, i64
-from repro.engine.compilecache import CompiledPlan
 
 from .reference import evaluate
 
 
-def _run(strategy, tables, registry, query, delta_atom, since):
-    plan = CompiledPlan(query, strategy, registry)
+def _run(executor, tables, registry, query, delta_atom, since):
+    slot_of, names = assign_slots(query)
     out = []
-    plan.query_exec.search(tables, delta_atom, since, out.append)
-    return [dict(zip(plan.slot_names, match)) for match in out]
+    executor(query, slot_of, len(names), registry).search(
+        tables, delta_atom, since, out.append
+    )
+    return [dict(zip(names, match)) for match in out]
 
 
 def search_indexed(tables, registry, query, delta_atom=None, since=0):
-    return _run("indexed", tables, registry, query, delta_atom, since)
+    return _run(CompiledIndexedQuery, tables, registry, query, delta_atom, since)
 
 
 def search_generic(tables, registry, query, delta_atom=None, since=0):
     """Generic join on tables holding no trie: the search builds them."""
-    return _run("generic", tables, registry, query, delta_atom, since)
+    return _run(CompiledGenericQuery, tables, registry, query, delta_atom, since)
 
 
 def search_generic_tries(tables, registry, query, delta_atom=None, since=0):
@@ -56,10 +60,10 @@ def search_generic_tries(tables, registry, query, delta_atom=None, since=0):
             if value.sort == I64:
                 copy.put(key, i64(value.data + 10), timestamp)
             copy.put(key, value, timestamp)
-    return _run("generic", copies, registry, query, delta_atom, since)
+    return _run(CompiledGenericQuery, copies, registry, query, delta_atom, since)
 
 
-STRATEGIES = [search_indexed, search_generic, search_generic_tries]
+SEARCHES = [search_indexed, search_generic, search_generic_tries]
 
 
 def edge_table(edges, timestamps=None):
@@ -107,7 +111,7 @@ def agrees_with_oracle(search, tables, query, delta_atom=None, since=0):
     return matches
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_triangle_query_finds_all_cycles(search):
     tables = {"edge": edge_table(EDGES)}
     result = solutions(agrees_with_oracle(search, tables, triangle_query()))
@@ -123,13 +127,13 @@ def test_triangle_query_finds_all_cycles(search):
 def test_strategies_agree_exactly():
     results = [
         solutions(agrees_with_oracle(search, {"edge": edge_table(EDGES)}, triangle_query()))
-        for search in STRATEGIES
+        for search in SEARCHES
     ]
     assert results[0] == results[1] == results[2]
     assert len(results[0]) == len(set(results[0]))  # no duplicate matches
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_delta_restriction_only_matches_new_rows(search):
     # Two triangles; only the second was inserted at timestamp 1.
     edges = [(1, 2), (2, 3), (3, 1), (7, 8), (8, 9), (9, 7)]
@@ -146,7 +150,7 @@ def test_delta_restriction_only_matches_new_rows(search):
     assert (1, 2, 3) in everything and (7, 8, 9) in everything
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_primitive_guards_filter_matches(search):
     tables = {"edge": edge_table(EDGES)}
     query = triangle_query()
@@ -155,7 +159,7 @@ def test_primitive_guards_filter_matches(search):
     assert result and all(x < y for x, y, _ in result)
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_primitive_binders_extend_bindings(search):
     tables = {"edge": edge_table([(1, 2)])}
     query = Query(
@@ -167,7 +171,7 @@ def test_primitive_binders_extend_bindings(search):
     assert matches[0]["s"] == i64(3)
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_repeated_variables_and_constants(search):
     tables = {"edge": edge_table(EDGES)}
     x = QVar("x")
@@ -183,7 +187,7 @@ def test_repeated_variables_and_constants(search):
     assert agrees_with_oracle(search, tables, two_hops) == []
 
 
-@pytest.mark.parametrize("search", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 def test_missing_table_means_no_matches(search):
     assert agrees_with_oracle(search, {}, triangle_query()) == []
 
@@ -273,7 +277,7 @@ def build_tables(rows):
 @given(case=database_and_query())
 def test_fuzz_random_queries_strategies_agree(case):
     rows, query, delta, since = case
-    for search in STRATEGIES:
+    for search in SEARCHES:
         # A fresh database per configuration: tries built by one search
         # must not leak into the next configuration.
         matches = _canonical(

@@ -21,7 +21,6 @@ from repro.core.unionfind import UnionFind
 from repro.engine import EGraph, EGraphError, Rule, Set, rewrite
 from repro.engine.actions import Union as UnionAction
 
-STRATEGIES = ("indexed", "generic")
 
 
 def check_explanation(egraph, explanation):
@@ -175,17 +174,16 @@ def add(a, b):
     return App("Add", a, b)
 
 
-def math_engine(strategy="indexed", proofs=True):
-    eg = EGraph(strategy=strategy, proofs=proofs)
+def math_engine(proofs=True):
+    eg = EGraph(proofs=proofs)
     eg.declare_sort("Math")
     eg.constructor("Num", ("i64",), "Math")
     eg.constructor("Add", ("Math", "Math"), "Math")
     return eg
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_explain_rule_step_names_the_rule(strategy):
-    eg = math_engine(strategy)
+def test_explain_rule_step_names_the_rule(executor):
+    eg = math_engine()
     eg.add_rewrite(add(V("x"), V("y")), add(V("y"), V("x")), name="comm-add")
     eg.add(add(num(1), num(2)))
     eg.run(5)
@@ -194,9 +192,8 @@ def test_explain_rule_step_names_the_rule(strategy):
     check_explanation(eg, expl)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_explain_congruence_step_names_the_function(strategy):
-    eg = EGraph(strategy=strategy)
+def test_explain_congruence_step_names_the_function(executor):
+    eg = EGraph()
     eg.declare_sort("V")
     eg.constructor("Leaf", ("i64",), "V")
     eg.constructor("F", ("V",), "V")
@@ -422,12 +419,11 @@ def test_dsl_explain_congruence_and_union_kinds():
     assert [s.kind for s in eg.explain(leaf(1), leaf(2)).steps] == ["union"]
 
 
-# -- exhaustive cross-strategy replay ----------------------------------------
+# -- exhaustive replay under both executors -----------------------------------
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_every_pair_in_a_saturated_class_explains(strategy):
-    eg = math_engine(strategy)
+def test_every_pair_in_a_saturated_class_explains(executor):
+    eg = math_engine()
     eg.add_rewrite(add(V("x"), V("y")), add(V("y"), V("x")), name="comm")
     eg.add_rewrite(
         add(add(V("a"), V("b")), V("c")),

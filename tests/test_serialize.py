@@ -5,8 +5,8 @@ must reproduce the exact file, for every golden program and bench
 workload, because byte identity implies the snapshot captured *all*
 serialized state (any dropped or reordered field shows up as a diff).
 Semantic parity rides on top: a loaded engine must answer
-extract/check/explain exactly like the original, under every join
-strategy, and a saturated snapshot must stay saturated when re-run
+extract/check/explain exactly like the original, under either join
+executor, and a saturated snapshot must stay saturated when re-run
 (warm start skips the work the snapshot already did).
 """
 
@@ -34,6 +34,7 @@ from repro.serialize import (
     SnapshotFormatError,
     compute_digest,
     dumps_document,
+    engine_document,
     load_engine,
     read_document,
     save_engine,
@@ -47,7 +48,6 @@ from repro.serialize.encode import (
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = sorted(GOLDEN_DIR.glob("*.egg"))
-STRATEGIES = ["indexed", "generic"]
 
 
 def roundtrip_bytes(engine: EGraph, tmp_path, **kwargs) -> "tuple[EGraph, str, str]":
@@ -139,8 +139,7 @@ def test_workload_roundtrip_byte_identical(workload, tmp_path):
     assert loaded.stats() == engine.stats()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_loaded_engine_parity_across_strategies(strategy, tmp_path):
+def test_loaded_engine_parity_across_strategies(executor, tmp_path):
     engine = EGraph()
     engine.declare_sort("Math")
     engine.constructor("Num", ("i64",), "Math")
@@ -150,8 +149,7 @@ def test_loaded_engine_parity_across_strategies(strategy, tmp_path):
     engine.run(10)
     path = tmp_path / "math.json"
     save_engine(engine, str(path))
-    loaded, _ = load_engine(str(path), strategy=strategy)
-    assert loaded.strategy == strategy
+    loaded, _ = load_engine(str(path))
     lhs = App("Add", App("Num", 0), App("Num", 7))
     rhs = App("Num", 7)
     assert loaded.check_equal(lhs, rhs) == engine.check_equal(lhs, rhs) is True
@@ -159,37 +157,45 @@ def test_loaded_engine_parity_across_strategies(strategy, tmp_path):
     original = [str(step) for step in engine.explain(lhs, rhs)]
     replayed = [str(step) for step in loaded.explain(lhs, rhs)]
     assert replayed == original
-    # Re-running a saturated snapshot is a no-op under every strategy.
+    # Re-running a saturated snapshot is a no-op under either executor.
     report = loaded.run(10)
     assert report.saturated and not report.updated
 
 
-def test_generic_adhoc_snapshot_loads_only_with_a_strategy_override(tmp_path):
-    # "generic-adhoc" was an engine strategy once; it is now only a
-    # benchmark baseline, so a snapshot recording it needs an override.
-    engine = EGraph(strategy="generic")
+def test_snapshots_recording_any_strategy_load_and_answer_identically(tmp_path):
+    # Older builds wrote the engine-wide join strategy into meta.strategy
+    # ("generic-adhoc" included, before it left the engine).  Whatever it
+    # says, the loader ignores it: each rule picks its join from its body.
+    engine = EGraph()
     engine.declare_sort("Math")
     engine.constructor("Num", ("i64",), "Math")
     engine.constructor("Add", ("Math", "Math"), "Math")
     engine.add_rewrite(App("Add", App("Num", 0), V("x")), V("x"), name="add-zero")
     engine.add(App("Add", App("Num", 0), App("Num", 7)))
     engine.run(10)
-    generic_path = tmp_path / "generic.json"
-    document = save_engine(engine, str(generic_path))
-    document["meta"]["strategy"] = "generic-adhoc"
-    document["digest"] = compute_digest(document)
-    legacy_path = tmp_path / "legacy.json"
-    legacy_path.write_text(dumps_document(document))
-
-    with pytest.raises(SnapshotFormatError, match="generic-adhoc"):
-        load_engine(str(legacy_path))
-    legacy, _ = load_engine(str(legacy_path), strategy="generic")
-    generic, _ = load_engine(str(generic_path))
-    assert legacy.strategy == generic.strategy == "generic"
+    document = save_engine(engine, str(tmp_path / "current.json"))
+    assert "strategy" not in document["meta"]
     term = App("Add", App("Num", 0), App("Num", 7))
-    assert legacy.check(App("Add", V("a"), V("b"))) == generic.check(App("Add", V("a"), V("b")))
-    assert legacy.check_equal(term, App("Num", 7)) is generic.check_equal(term, App("Num", 7))
-    assert legacy.extract(term) == generic.extract(term) == App("Num", 7)
+
+    def answers(loaded):
+        return (
+            loaded.check(App("Add", V("a"), V("b"))),
+            loaded.check_equal(term, App("Num", 7)),
+            loaded.extract(term),
+            [str(step) for step in loaded.explain(term, App("Num", 7))],
+            loaded.run(10).saturated,
+            engine_document(loaded)["state"],
+        )
+
+    expected = answers(load_engine(str(tmp_path / "current.json"))[0])
+    assert expected[2] == App("Num", 7) and expected[4]
+    for recorded in ("indexed", "generic", "generic-adhoc"):
+        document["meta"]["strategy"] = recorded
+        document["digest"] = compute_digest(document)
+        legacy_path = tmp_path / f"{recorded}.json"
+        legacy_path.write_text(dumps_document(document))
+        legacy, _ = load_engine(str(legacy_path))
+        assert answers(legacy) == expected, recorded
 
 
 def test_warm_start_skips_saturation(tmp_path):
@@ -358,11 +364,11 @@ def test_unknown_coercion_rejected(tmp_path):
         load_engine(str(path))
 
 
-def test_meta_records_version_and_strategy(tmp_path):
+def test_meta_records_version_and_no_strategy(tmp_path):
     document = _small_document(tmp_path)
     assert document["schema"] == SCHEMA
     assert repro.__version__ in document["meta"]["generator"]
-    assert document["meta"]["strategy"] == "indexed"
+    assert "strategy" not in document["meta"]
     assert document["meta"]["proofs"] is True
 
 

@@ -291,9 +291,8 @@ def test_http_error_statuses(server):
         conn.close()
 
 
-@pytest.mark.parametrize("strategy", ["indexed", "generic"])
-def test_http_wrong_arity_ops_answer_422_and_roll_back(strategy):
-    live = LiveServer(strategy=strategy)
+def test_http_wrong_arity_ops_answer_422_and_roll_back(executor):
+    live = LiveServer()
     try:
         live.request("POST", "/bases", {"name": "tc", "program": TC_PROGRAM})
         _, body = live.request("POST", "/sessions", {"base": "tc"})
@@ -319,38 +318,56 @@ def test_http_wrong_arity_ops_answer_422_and_roll_back(strategy):
         live.stop()
 
 
-def test_clis_offer_exactly_the_engine_strategies(capsys):
-    from repro.engine import SEARCH_STRATEGIES
-    from repro.frontend.cli import build_arg_parser
-    from repro.server.cli import build_parser
-
-    assert SEARCH_STRATEGIES == ("indexed", "generic")
-    for parser in (build_parser(), build_arg_parser()):
-        for strategy in SEARCH_STRATEGIES:
-            assert parser.parse_args(["--strategy", strategy]).strategy == strategy
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--strategy", "generic-adhoc"])  # bench-only baseline
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_http_snapshot_base(server, tmp_path):
-    # Round-trip a base through a real snapshot file.
+def test_http_snapshot_base(server, tmp_path, monkeypatch):
+    # A network client may not name a server file: every snapshot_path,
+    # readable snapshot or not, gets the same 403 and no file is opened.
     from repro.frontend import Evaluator
+    from repro.server.app import SNAPSHOT_PATH_REFUSED
 
     ev = Evaluator()
     ev.run_program(TC_PROGRAM + "\n(run 10)")
     path = tmp_path / "tc.json"
     ev.save_snapshot(str(path))
-    status, body = server.request(
-        "POST", "/bases", {"name": "warm", "snapshot_path": str(path)}
-    )
-    assert status == 201 and body["base"]["source"] == "snapshot"
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("POST /bases opened a file")
+
+    monkeypatch.setattr("builtins.open", no_file)
+    monkeypatch.setattr(SessionManager, "add_base_from_snapshot", no_file)
+    answers = [
+        server.request("POST", "/bases", {"name": "warm", "snapshot_path": probe})
+        for probe in (str(path), "/etc/passwd", "/nope.json", str(tmp_path), 7)
+    ]
+    monkeypatch.undo()
+    assert answers == [(403, {"ok": False, "error": SNAPSHOT_PATH_REFUSED})] * 5
+    assert "repro-serve --base NAME=PATH.json" in SNAPSHOT_PATH_REFUSED
+    assert server.request("GET", "/bases")[1]["bases"] == []
+    # The operator's route still works: --base NAME=PATH.json calls this.
+    server.app.manager.add_base_from_snapshot("warm", str(path))
     status, body = server.request("POST", "/sessions", {"base": "warm"})
     sid = body["session"]["id"]
     # The base was saturated before saving: the fact is already there.
     status, body = server.request("POST", f"/sessions/{sid}/program", {"ops": [CHECK_1_5]})
     assert body["results"][0]["ok"] is True
-    assert server.request("POST", "/bases", {"name": "bad", "snapshot_path": "/nope.json"})[0] == 400
+
+
+def test_serve_cli_rejects_a_bad_base_in_one_line(tmp_path, capsys):
+    from repro.server.cli import main as serve_main
+
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text('{"schema": "repro.snapshot/v1", "digest": "sha256:0"}')
+    cases = {
+        "bad": tmp_path / "bad.json",
+        "corrupt": corrupt,
+        "missing": tmp_path / "missing.json",
+    }
+    cases["bad"].write_text("not json {")
+    for name, path in cases.items():
+        with pytest.raises(SystemExit) as raised:
+            serve_main(["--port", "0", "--base", f"{name}={path}"])
+        message = str(raised.value.code)
+        assert message.startswith(f"repro-serve: cannot load base {name!r}: "), message
+        assert "\n" not in message
 
 
 def _saved_snapshot(tmp_path):
