@@ -6,8 +6,9 @@ PR measurable:
 
 * :mod:`repro.bench.workloads` — parameterized workload generators
   (transitive closure on chain/random/grid graphs, math rewriting at
-  growing depths, congruence-closure stress, proof production, and
-  triangle listing — the one cyclic rule body).
+  growing depths, congruence-closure stress, proof production,
+  triangle listing — the one cyclic rule body — and extraction after
+  every small batch on one long-lived engine).
 * :mod:`repro.bench.runner` — runs each workload on a fresh engine,
   times the search/apply/rebuild phases via
   :class:`~repro.core.schema.RunReport`, and emits one schema-stable

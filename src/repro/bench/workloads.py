@@ -24,6 +24,9 @@ The families:
 * **Triangles** (:func:`triangles`) — the one cyclic rule body, so the
   one family that runs generic join; every other family's rules are
   α-acyclic and run index-nested-loop join.
+* **Extraction after small batches** (:func:`extract_batches`) — one
+  long-lived type-inference e-graph that extracts after every batch, the
+  shape where keeping the best-node map pays.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Callable, Dict, List, Tuple
 
 from ..core.schema import RunReport
 from ..core.terms import App, V
-from ..engine import EGraph, Rule
-from ..engine.actions import Expr
+from ..engine import EGraph, Rule, eq
+from ..engine.actions import Expr, Union
 
 
 @dataclass
@@ -332,6 +335,75 @@ def triangles(*, n: int, m: int, seed: int = 0) -> Workload:
 
 
 # ---------------------------------------------------------------------------
+# Extraction after small batches
+# ---------------------------------------------------------------------------
+
+
+def _type_equation(rng: random.Random, tag: str) -> Tuple[App, App, App, App]:
+    """``(TArrow x1 (... TInt))`` and ``(TArrow c1 (... y))`` with the first
+    variable ``x1`` and its solution ``c1``: decomposing the arrows solves
+    every ``xk = ck`` and ``y = TInt``."""
+    depth = rng.randint(1, 3)
+    xs = [App("TVar", f"{tag}x{k}") for k in range(depth)]
+    cs = [App(rng.choice(("TInt", "TBool"))) for _ in range(depth)]
+    lhs, rhs = App("TInt"), App("TVar", f"{tag}y")
+    for x, c in zip(reversed(xs), reversed(cs)):
+        lhs, rhs = App("TArrow", x, lhs), App("TArrow", c, rhs)
+    return lhs, rhs, xs[0], cs[0]
+
+
+def extract_batches(*, n: int, batches: int, seed: int = 0) -> Workload:
+    """Extract after every small batch on one long-lived engine.
+
+    The set-up saturates a type-inference base (``examples/typeinfer.egg``
+    grown): ``n`` seeded arrow equations solved by the ``decompose-arrow``
+    rule.  The run phase then does ``batches`` batches; each unions one
+    fresh equation, runs up to 20 iterations and extracts the equation's
+    first variable, which must come back as its solved type.
+    """
+    rng = random.Random(seed)
+    base = [_type_equation(rng, f"e{k}") for k in range(n)]
+    fresh = [_type_equation(rng, f"b{k}") for k in range(batches)]
+
+    def setup(egraph: EGraph) -> None:
+        egraph.declare_sort("Type")
+        egraph.constructor("TInt", (), "Type")
+        egraph.constructor("TBool", (), "Type")
+        egraph.constructor("TVar", ("String",), "Type")
+        egraph.constructor("TArrow", ("Type", "Type"), "Type", cost=2)
+        a, b, c, d = V("a"), V("b"), V("c"), V("d")
+        egraph.add_rule(
+            Rule(
+                facts=[eq(App("TArrow", a, b), App("TArrow", c, d))],
+                actions=[Union(a, c), Union(b, d)],
+                name="decompose-arrow",
+            )
+        )
+        for lhs, rhs, _var, _solution in base:
+            egraph.union(lhs, rhs)
+        egraph.run(1000)
+
+    def run(egraph: EGraph) -> RunReport:
+        report = RunReport()
+        for lhs, rhs, var, solution in fresh:
+            egraph.union(lhs, rhs)
+            report.merge_with(egraph.run(20))
+            extracted = egraph.extract(var)
+            if extracted != solution:
+                raise AssertionError(f"extracted {extracted} for {var}, expected {solution}")
+        return report
+
+    return Workload(
+        name="extract",
+        family="extract-batches",
+        params={"n": n, "batches": batches, "seed": seed},
+        setup=setup,
+        run=run,
+        tables_of_interest=("TVar", "TArrow"),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Default suites
 # ---------------------------------------------------------------------------
 
@@ -347,6 +419,7 @@ def default_workloads(*, quick: bool = False, seed: int = 0) -> List[Workload]:
             congruence_stress(leaves=60, height=4, seed=seed),
             proof_explain(leaves=40, height=4, explains=30, seed=seed),
             triangles(n=30, m=120, seed=seed),
+            extract_batches(n=50, batches=20, seed=seed),
         ]
     return [
         transitive_closure("chain", n=72, seed=seed),
@@ -358,4 +431,5 @@ def default_workloads(*, quick: bool = False, seed: int = 0) -> List[Workload]:
         congruence_stress(leaves=220, height=5, seed=seed),
         proof_explain(leaves=150, height=5, explains=100, seed=seed),
         triangles(n=300, m=6000, seed=seed),
+        extract_batches(n=1000, batches=200, seed=seed),
     ]

@@ -180,8 +180,7 @@ def run_actions(
             set_function_value(egraph, decl, key, value)
         elif isinstance(action, Delete):
             decl, key = _eval_call_key(egraph, action.call, subst)
-            if egraph.tables[decl.name].remove(key) is not None:
-                egraph.note_update()
+            egraph.remove_row(decl.name, key)
         elif isinstance(action, Panic):
             raise EGraphPanic(action.message)
         elif isinstance(action, Expr):

@@ -37,7 +37,9 @@ from ..core.values import BUILTIN_SORTS, UNIT, UNIT_VALUE, EqSort, Sort, Value, 
 from .actions import Action, Delete, Expr, Let, Set, Union
 from .budget import Budget
 from .compilecache import CompiledPlan
-from .errors import CheckError, EGraphError, ExtractError, MergeError
+from .errors import CheckError, EGraphError, MergeError
+from .extract import BestNodes
+from .extract import extract as _extract
 from .program import RuleExec
 from .rebuild import rebuild as _rebuild
 from .rule import DEFAULT_RULESET, CompiledRule, Fact, Rule, compile_facts, compile_rule
@@ -109,6 +111,9 @@ class EGraph:
         self._eq_cols: Dict[str, List[Tuple[int, str]]] = {}
         self.scheduler = Scheduler(self)
         self._snapshots: List[dict] = []
+        #: Extraction's best-node map: derived state, never snapshotted, and
+        #: dropped whenever a class's cost can rise (see repro.engine.extract).
+        self._extraction: Optional[BestNodes] = None
 
     # -- compiled executors ---------------------------------------------------
 
@@ -197,6 +202,16 @@ class EGraph:
                 return merged
 
             fn = call_merge
+            if self.sorts[decl.out_sort].is_eq_sort:
+
+                def eq_merge(old: Value, new: Value) -> Value:
+                    merged = call_merge(old, new)
+                    if self.canonicalize(merged) != self.canonicalize(old):
+                        # The row leaves old's e-class, whose cost can rise.
+                        self._extraction = None
+                    return merged
+
+                fn = eq_merge
         else:
             name, bad = decl.name, merge
 
@@ -217,6 +232,19 @@ class EGraph:
     def note_update(self) -> None:
         """Record that the database or equivalence relation changed."""
         self._updates += 1
+
+    def remove_row(self, func: str, key: Key) -> bool:
+        """Delete the row ``func(key)`` (the ``delete`` action); True iff
+        there was one.
+
+        A deleted node can raise its e-class's cost, so the best-node map
+        is dropped.
+        """
+        if self.tables[func].remove(key) is None:
+            return False
+        self.note_update()
+        self._extraction = None
+        return True
 
     # -- declarations ---------------------------------------------------------
 
@@ -247,9 +275,16 @@ class EGraph:
         ``merge`` may be ``None`` (union for eq-sorted outputs, error
         otherwise — the paper's defaults), the strings ``"union"`` or
         ``"error"``, the name of a binary primitive (e.g. ``"min"``), or a
-        callable ``(old, new) -> Value``.  ``decl_site`` is free-form
+        callable ``(old, new) -> Value``.  ``cost`` is the per-node
+        extraction cost, an integer ≥ 1.  ``decl_site`` is free-form
         provenance (``file:line``) echoed in later diagnostics.
         """
+        if isinstance(cost, bool) or not isinstance(cost, int) or cost < 1:
+            # A zero or negative cost lets a node cost no more than its
+            # children: extraction could then loop forever or pick a cycle.
+            raise EGraphError(
+                f"function {name!r}: cost must be an integer >= 1, got {cost!r}"
+            )
         if name in self.decls:
             existing = self.decls[name]
             where = f" (at {existing.decl_site})" if existing.decl_site else ""
@@ -690,6 +725,7 @@ class EGraph:
         self._eq_sorts = {
             name for name, sort in self.sorts.items() if sort.is_eq_sort
         }
+        self._extraction = None  # it describes rows and classes now gone
         self.invalidate_compiled()
 
     def push(self) -> int:
@@ -838,74 +874,18 @@ class EGraph:
 
         The cost of a candidate node ``f(c1, ..., cn)`` is ``f``'s declared
         per-node cost plus the best costs of its eq-sorted children
-        (primitive arguments are free).  Costs are computed for every
-        e-class by a bottom-up fixpoint over the database, then the term is
-        reassembled top-down.
+        (primitive arguments are free).  Ties go to the earlier-declared
+        function, then to the smaller canonical key.  The best-node map
+        persists between calls and is brought up to date from the rows
+        written since (see :mod:`repro.engine.extract`); primitive values
+        are returned as literals of cost 0.
         """
         self._ensure_canonical()
         value = self.eval_term(as_term(term))
         assert value is not None
-        sort = self.sorts.get(value.sort)
-        if sort is None or not sort.is_eq_sort:
+        if value.sort not in self._eq_sorts:
             return 0, TermLit(value)
-        best = self._best_nodes()
-        return self._term_of(best, value, frozenset())
-
-    def _best_nodes(self) -> Dict[int, Tuple[int, str, Key]]:
-        """Per canonical e-class: the cheapest (cost, function, key) node."""
-        best: Dict[int, Tuple[int, str, Key]] = {}
-        eq_cols: Dict[str, List[int]] = {
-            name: [
-                i
-                for i, s in enumerate(decl.arg_sorts)
-                if self.sorts[s].is_eq_sort
-            ]
-            for name, decl in self.decls.items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name, table in self.tables.items():
-                decl = table.decl
-                if decl.unextractable or not self.sorts[decl.out_sort].is_eq_sort:
-                    continue
-                for key, row in table.data.items():
-                    cost = decl.cost
-                    known = True
-                    for col in eq_cols[name]:
-                        child = best.get(self.uf.find(key[col].data))
-                        if child is None:
-                            known = False
-                            break
-                        cost += child[0]
-                    if not known:
-                        continue
-                    class_id = self.uf.find(row.value.data)
-                    current = best.get(class_id)
-                    if current is None or cost < current[0]:
-                        best[class_id] = (cost, name, key)
-                        changed = True
-        return best
-
-    def _term_of(
-        self,
-        best: Dict[int, Tuple[int, str, Key]],
-        value: Value,
-        visiting: frozenset,
-    ) -> Tuple[int, Term]:
-        sort = self.sorts.get(value.sort)
-        if sort is None or not sort.is_eq_sort:
-            return 0, TermLit(value)
-        class_id = self.uf.find(value.data)
-        if class_id in visiting:
-            raise ExtractError(f"cycle while extracting e-class {class_id}")
-        node = best.get(class_id)
-        if node is None:
-            raise ExtractError(f"no extractable node for e-class {class_id}")
-        cost, func, key = node
-        visiting = visiting | {class_id}
-        children = tuple(self._term_of(best, child, visiting)[1] for child in key)
-        return cost, TermApp(func, children)
+        return _extract(self, value)
 
     # -- explanation (proof production) ----------------------------------------
 
@@ -1038,6 +1018,8 @@ class EGraph:
         from ..serialize import load_engine
 
         fresh, document = load_engine(path, registry=self.registry)
+        # Every attribute is replaced, the best-node map (None on ``fresh``)
+        # included.
         self.__dict__.update(fresh.__dict__)
         # The fresh engine's scheduler points at ``fresh``; rebind so runs
         # drive *this* object (they now share no other state).

@@ -293,20 +293,16 @@ def compile_actions(
 
             ops.append(set_op)
         elif isinstance(action, Delete):
-            decl, key_fn = _compile_call_key(egraph, action.call, env)
-            table_remove = (
-                egraph.tables[action.call.func].remove if decl is not None else None
-            )
-            note_update = egraph.note_update
+            _decl, key_fn = _compile_call_key(egraph, action.call, env)
+            remove_row = egraph.remove_row
 
             def delete_op(
                 regs: Regs,
                 kf: Callable[[Regs], Tuple[Value, ...]] = key_fn,
-                rm: object = table_remove,
+                func: str = action.call.func,
             ) -> None:
-                key = kf(regs)  # raises for unknown function / bad arity
-                if rm(key) is not None:  # type: ignore[operator]
-                    note_update()
+                # kf raises first for an unknown function or a bad arity.
+                remove_row(func, kf(regs))
 
             ops.append(delete_op)
         elif isinstance(action, Panic):

@@ -10,6 +10,7 @@ parentheses).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import List, Union
 
 from ..core.terms import Term, TermApp, TermLit, TermVar
 from ..core.values import Value
@@ -37,15 +38,29 @@ def format_value(value: Value) -> str:
 
 
 def format_term(term: Term) -> str:
-    """Render a term as .egg surface syntax."""
-    if isinstance(term, TermVar):
-        return term.name
-    if isinstance(term, TermLit):
-        return format_value(term.value)
-    if isinstance(term, TermApp):
-        parts = [term.func] + [format_term(arg) for arg in term.args]
-        return "(" + " ".join(parts) + ")"
-    raise TypeError(f"cannot format {term!r}")
+    """Render a term as .egg surface syntax.
+
+    Iterative, so an extracted term may be deeper than the recursion limit.
+    """
+    parts: List[str] = []
+    stack: List[Union[Term, str]] = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, TermVar):
+            parts.append(item.name)
+        elif isinstance(item, TermLit):
+            parts.append(format_value(item.value))
+        elif isinstance(item, TermApp):
+            parts.append("(" + item.func)
+            stack.append(")")
+            for arg in reversed(item.args):
+                stack.append(arg)
+                stack.append(" ")
+        else:
+            raise TypeError(f"cannot format {item!r}")
+    return "".join(parts)
 
 
 def format_fact(fact: Fact) -> str:

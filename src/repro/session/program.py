@@ -124,6 +124,12 @@ def _opt_int(op: Dict[str, Json], key: str) -> Optional[int]:
     return value
 
 
+def _cost(op: Dict[str, Json]) -> int:
+    """The optional ``cost`` field; the engine rejects values below 1."""
+    cost = _opt_int(op, "cost")
+    return 1 if cost is None else cost
+
+
 def _sort_list(op: Dict[str, Json], key: str) -> List[str]:
     value = op.get(key, [])
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
@@ -236,7 +242,7 @@ def _op_function(ctx: _Ctx, op: Dict[str, Json]) -> Json:
         _str(op, "out"),
         merge=merge,
         default=decode_value(default) if default is not None else None,
-        cost=_opt_int(op, "cost") or 1,
+        cost=_cost(op),
         unextractable=bool(op.get("unextractable", False)),
     )
     return {"declared": op["name"]}
@@ -247,7 +253,7 @@ def _op_constructor(ctx: _Ctx, op: Dict[str, Json]) -> Json:
         _str(op, "name"),
         _sort_list(op, "args"),
         _str(op, "out"),
-        cost=_opt_int(op, "cost") or 1,
+        cost=_cost(op),
     )
     return {"declared": op["name"]}
 

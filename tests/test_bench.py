@@ -62,6 +62,7 @@ def test_default_workloads_cover_all_families():
         "congruence-closure",
         "proof-production",
         "triangle",
+        "extract-batches",
     }
 
 
