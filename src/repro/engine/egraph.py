@@ -202,16 +202,6 @@ class EGraph:
                 return merged
 
             fn = call_merge
-            if self.sorts[decl.out_sort].is_eq_sort:
-
-                def eq_merge(old: Value, new: Value) -> Value:
-                    merged = call_merge(old, new)
-                    if self.canonicalize(merged) != self.canonicalize(old):
-                        # The row leaves old's e-class, whose cost can rise.
-                        self._extraction = None
-                    return merged
-
-                fn = eq_merge
         else:
             name, bad = decl.name, merge
 
@@ -219,6 +209,17 @@ class EGraph:
                 raise EGraphError(f"function {name} has unnormalized merge {bad!r}")
 
             fn = bad_merge
+        if merge != MERGE_UNION and self.sorts[decl.out_sort].is_eq_sort:
+            resolve = fn
+
+            def eq_merge(old: Value, new: Value) -> Value:
+                # old and new are in different e-classes, and whichever value
+                # is kept (or none, if the merge raises), the other class can
+                # lose a node: a rebuild removed new's row before merging.
+                self._extraction = None
+                return resolve(old, new)
+
+            fn = eq_merge
         self._merge_fns[decl.name] = fn
         return fn
 

@@ -23,8 +23,8 @@ update only visits
 * the parents of a class that got its first entry or a lower cost, found
   through the per-column hash indexes rebuilding keeps.
 
-Whenever a cost can rise — a deleted row, a non-``union`` merge that moves
-an eq-sorted output to another class, ``restore_state`` (pop, a
+Whenever a cost can rise — a deleted row, a conflict that reaches a
+non-``union`` merge on an eq-sorted output, ``restore_state`` (pop, a
 rolled-back batch, fork) or ``load`` — the engine drops the map, and the
 next extraction recomputes it from scratch (:func:`full_pass`).
 

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from repro.core.terms import App, TermLit, V  # noqa: E402
 from repro.core.values import Value, f64, i64  # noqa: E402
-from repro.engine import EGraph, EGraphError, ExtractError, Rule  # noqa: E402
+from repro.engine import EGraph, EGraphError, ExtractError, MergeError, Rule  # noqa: E402
 from repro.engine import extract as extract_module  # noqa: E402
 from repro.engine.actions import Delete, Set, run_actions  # noqa: E402
 from repro.engine.extract import key_order  # noqa: E402
@@ -59,6 +59,9 @@ def assert_every_class_agrees(egraph):
 # -- the differential property -----------------------------------------------
 
 
+LEAVES = (App("A"), App("B"), App("N", 0), App("N", 1))
+
+
 def _declare(egraph):
     egraph.declare_sort("E")
     egraph.constructor("A", (), "E")
@@ -69,6 +72,10 @@ def _declare(egraph):
     # A callable merge that keeps the newer value: an overwrite moves the
     # row to another e-class, which can raise the old class's cost.
     egraph.function("pick", ("i64",), "E", merge=lambda old, new: new)
+    # An E-keyed callable merge that keeps the older value: when a union
+    # makes two keys collide, rebuilding drops one row, and the class of the
+    # output it discards loses that node.
+    egraph.function("keep", ("E",), "E", merge=lambda old, new: old)
     egraph.function("hide", ("E",), "E", unextractable=True)
     egraph.relation("kill", ("i64",))
     x, y, k = V("x"), V("y"), V("k")
@@ -78,6 +85,10 @@ def _declare(egraph):
     # Running this ruleset matches nothing but advances the timestamp, so
     # later extractions start from a watermark past earlier rows.
     egraph.add_rule(Rule(facts=[App("kill", -1)], actions=[], name="tick", ruleset="tick"))
+    # Every program starts with keep rows over four leaves, so a union of
+    # two of them makes keys collide.
+    for leaf in LEAVES:
+        egraph.add(App("F", App("keep", leaf)))
     # The compiled delete path.
     egraph.add_rule(
         Rule(
@@ -100,6 +111,7 @@ def _terms():
         lambda inner: st.one_of(
             inner.map(lambda t: App("F", t)),
             inner.map(lambda t: App("hide", t)),
+            inner.map(lambda t: App("keep", t)),
             st.tuples(inner, inner).map(lambda pair: App("G", *pair)),
         ),
         max_leaves=4,
@@ -110,6 +122,7 @@ TERMS = _terms()
 EDITS = st.one_of(
     st.tuples(st.just("add"), TERMS),
     st.tuples(st.just("union"), TERMS, TERMS),
+    st.tuples(st.just("union"), st.sampled_from(LEAVES), st.sampled_from(LEAVES)),
     st.tuples(st.just("run"), st.integers(1, 2)),
     st.tuples(st.just("delete"), TERMS),
     st.tuples(st.just("kill"), st.integers(0, 3)),
@@ -154,6 +167,8 @@ def _edit(egraph, step):
 def test_kept_map_matches_a_from_scratch_oracle(steps):
     egraph = EGraph()
     _declare(egraph)
+    # Build the map before the first step, so every edit meets a kept map.
+    assert_every_class_agrees(egraph)
     depth = 0
     for step in steps:
         kind = step[0]
@@ -183,6 +198,10 @@ def test_kept_map_matches_a_from_scratch_oracle(steps):
 
 
 # -- named regressions -------------------------------------------------------
+
+
+def keep_old(old, new):
+    return old
 
 
 def _leaf_classes():
@@ -234,6 +253,36 @@ def test_a_cheaper_node_in_a_class_with_a_merged_away_best_row_reaches_parents()
     expected = (3, App("G", App("A"), App("N", 7)))
     assert egraph.extract_with_cost(top) == expected
     assert extract_reference(egraph, egraph.lookup(top)) == expected
+
+
+@pytest.mark.parametrize("merge", ["old", "error"])
+@pytest.mark.parametrize("other_node", [False, True])
+def test_a_merge_on_a_rebuild_collision_drops_the_map(merge, other_node):
+    # keep (A) and keep (B) collide once A and B merge.  Rebuilding removes
+    # keep (B)'s row before it resolves the collision, so keep (B)'s class
+    # loses the node that was its best: :merge old keeps keep (A)'s value,
+    # and merge="error" raises.
+    egraph = EGraph()
+    egraph.declare_sort("E")
+    egraph.constructor("A", (), "E")
+    egraph.constructor("B", (), "E")
+    egraph.constructor("G", ("E",), "E")
+    egraph.function("keep", ("E",), "E", merge=keep_old if merge == "old" else merge)
+    x = egraph.add(App("G", App("keep", App("A"))))
+    y = egraph.add(App("G", App("keep", App("B"))))
+    if other_node:
+        egraph.union(App("keep", App("B")), App("G", App("G", App("A"))))
+    assert egraph.extract_with_cost(y) == (3, App("G", App("keep", App("B"))))
+    egraph.union(App("A"), App("B"))
+    if merge == "old":
+        egraph.rebuild()
+    else:
+        with pytest.raises(MergeError, match="merge conflict on keep"):
+            egraph.rebuild()
+    assert egraph._extraction is None
+    expected = (4, App("G", App("G", App("G", App("A"))))) if other_node else None
+    assert engine_extract(egraph, y) == extract_reference(egraph, y) == expected
+    assert engine_extract(egraph, x) == (3, App("G", App("keep", App("A"))))
 
 
 def test_declaration_order_breaks_cost_ties():
@@ -322,8 +371,8 @@ def test_the_map_is_kept_until_a_cost_can_rise(monkeypatch, tmp_path):
     child = egraph.fork()
     assert recomputes(child, lambda: None) == 1
     assert recomputes(egraph, lambda: None) == 0  # the parent keeps its map
-    # A callable merge on an eq-sorted output: a new row keeps the map, an
-    # overwrite that moves the row to another e-class drops it.
+    # A callable merge on an eq-sorted output: a new row keeps the map, a
+    # conflict the merge resolves drops it.
     child.function("pick", ("i64",), "E", merge=lambda old, new: new)
     assert recomputes(child, lambda: child.add(App("pick", 0))) == 0
     overwrite = [Set(App("pick", 0), App("N", 4))]
