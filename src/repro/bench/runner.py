@@ -34,7 +34,8 @@ from .workloads import Workload
 #: Schema identifier written into every BENCH file; bump on breaking change.
 #: v2: every variant reports min/median/max over repeats
 #: (``run_s_stats``); headline numbers are medians.  Readers should stay
-#: tolerant of v1 files (no ``run_s_stats`` key).
+#: tolerant of v1 files (no ``run_s_stats`` key) and of v2 files written
+#: before ``run_s_stats`` gained ``q1``/``q3``.
 SCHEMA = "repro.bench/v2"
 
 #: The one variant name an engine workload records.
@@ -91,11 +92,21 @@ def _run_once(workload: Workload) -> Dict[str, object]:
 
 
 def _run_s_stats(runs_s: List[float]) -> Dict[str, float]:
-    """min/median/max over the repeats' run times (median_low: an actually
-    measured run, consistent with the per-variant headline numbers)."""
+    """min/q1/median/q3/max over the repeats' run times.
+
+    The median is ``median_low``: an actually measured run, consistent
+    with the per-variant headline numbers.  The quartiles are inclusive
+    (they stay within min..max; one repeat gives q1 == q3 == its run), so
+    ``q3 - q1`` is the spread a paired comparison weighs a ratio against.
+    """
+    q1 = q3 = runs_s[0]
+    if len(runs_s) > 1:
+        q1, _median, q3 = statistics.quantiles(runs_s, n=4, method="inclusive")
     return {
         "min": min(runs_s),
+        "q1": q1,
         "median": statistics.median_low(runs_s),
+        "q3": q3,
         "max": max(runs_s),
     }
 

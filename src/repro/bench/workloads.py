@@ -11,7 +11,7 @@ The families:
   canonical Datalog workload: ``path(x,z) :- path(x,y), edge(y,z)`` on
   chain, random (Erdős–Rényi-style), and grid graphs.  Many semi-naïve
   iterations over a growing ``path`` table: exactly the shape where
-  maintained indexes beat per-search trie builds.
+  maintained indexes beat per-search index builds.
 * **Math rewriting** (:func:`math_rewriting`) — equality saturation over a
   small arithmetic datatype (commutativity/associativity/identities) on a
   balanced expression of a given depth, run a bounded number of
@@ -304,7 +304,7 @@ def triangles(*, n: int, m: int, seed: int = 0) -> Workload:
     ``m`` edges.
 
     ``tri(a, b, c) :- edge(a, b), edge(b, c), edge(a, c)`` is a cyclic
-    body, so its search runs generic join over the ``edge`` tries.  The
+    body, so its search runs generic join over ``edge``'s hash indexes.  The
     first iteration lists every triangle; the later ones find nothing
     new.
     """

@@ -10,9 +10,8 @@ These modules implement the building blocks the paper's engine is made of:
   (Section 5.1)
 * :mod:`repro.core.terms` — tree-shaped terms and patterns
 * :mod:`repro.core.query` — conjunctive query data types
-* :mod:`repro.core.compile` — the compiled join executors: index-nested-loop
-  and worst-case optimal generic join (relational e-matching)
-* :mod:`repro.core.index` — column-trie indexes and query planning
+* :mod:`repro.core.compile` — the compiled join executor, whose plans take
+  the index-nested-loop or the generic-join shape (relational e-matching)
 * :mod:`repro.core.builtins` — primitive sorts and operations (Section 5.2)
 """
 

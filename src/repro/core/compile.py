@@ -1,7 +1,7 @@
 """Compiled query plans: the one search path for rule bodies and queries.
 
 Rule bodies and one-off public queries (``query``, ``check``) both run
-through the executors here (journals_pacmpl_ZhangWFCZRTW23 §4–5).  A
+through :class:`CompiledQuery` (journals_pacmpl_ZhangWFCZRTW23 §4–5).  A
 compiled rule runs its query millions of times against the same
 *structure* — only the data changes — so everything structural is
 resolved once per query:
@@ -10,31 +10,21 @@ resolved once per query:
   (:func:`assign_slots`); a match is a plain ``tuple`` of values in slot
   order instead of a dict.  Scheduler-side deduplication of semi-naïve
   delta matches hashes those canonical tuples directly.
-* **Column roles.**  Each atom's columns are classified at plan time into
-  constants, first-occurrence bindings, and repeated-variable checks, so
-  the per-row inner loops below do zero ``isinstance`` work.
+* **Column roles.**  Each atom's columns are classified at plan time,
+  per plan node (:class:`_Access`), so the per-row loops do zero
+  ``isinstance`` work.
 * **Primitive programs.**  Primitive atoms are scheduled once into a
   straight-line program (:func:`compile_prims`) whose steps fetch
   arguments from slots.
 
-Two executors, and :func:`compile_query` picks one from the shape of the
-body (:func:`is_acyclic`):
-
-* :class:`CompiledIndexedQuery` — index-nested-loop join, for α-acyclic
-  bodies (every rule the examples, golden files and benchmarks hold).
-  The greedy atom order adapts to live table sizes via
-  :func:`plan_order`; the per-atom step structures are cached keyed by
-  the resulting order.
-* :class:`CompiledGenericQuery` — worst-case optimal generic join, for
-  cyclic bodies such as triangles.  Every atom without a repeated
-  variable descends its table's trie (``Table.trie``: built on first
-  use, then maintained on write), except the delta atom, whose trie is
-  built per search from the write log's new rows.  The per-depth sets of
-  involved atoms are fully static, so the descent does no per-node atom
-  scanning.
-
-Both support *delta* searches for semi-naïve evaluation: one designated
-atom is restricted to rows whose timestamp is at least ``since``.
+One executor, after Free Join (Wang, Willsey and Suciu, SIGMOD 2023):
+index-nested-loop join and generic join are two shapes of one plan, and
+the shape of the body picks one (:func:`is_acyclic`; see
+:class:`CompiledQuery`).  Every probe and every candidate set is one
+row-dict probe or one entry of a table's hash index (``Table.index``),
+the indexes rebuilding and extraction also read.  Both shapes support
+*delta* searches for semi-naïve evaluation: one designated atom is
+restricted to rows whose timestamp is at least ``since``.
 
 Cache invalidation is the engine's job: a rule's compiled executor is
 cached on the rule and keyed by the engine's compile epoch, which
@@ -44,19 +34,15 @@ push/pop and rule replacement bump (see ``EGraph.rule_exec``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .builtins import PrimitiveRegistry
 from .database import Table
-from .index import NONEMPTY, descend_constants, plan_query
 from .query import Query, QVar, TableAtom
 from .values import BOOL, UNIT, Value
 
 MatchTuple = Tuple[Value, ...]
-
-#: Shared immutable "exhausted sub-trie" node (never mutated: the descent
-#: only calls ``len``/``get``/iteration on nodes).
-_EMPTY: Dict = {}
 
 
 def assign_slots(query: Query) -> Tuple[Dict[str, int], Tuple[str, ...]]:
@@ -87,7 +73,7 @@ def plan_order(
     tables: Dict[str, Table],
     delta_index: Optional[int],
 ) -> List[int]:
-    """Greedy join order for the indexed executor: the delta atom first,
+    """Greedy atom order for an acyclic body's plan: the delta atom first,
     then atoms that share the most already-bound variables, tie-broken by
     smallest table."""
     remaining = list(range(len(atoms)))
@@ -230,104 +216,286 @@ def _table_bound_slots(query: Query, slot_of: Dict[str, int]) -> Set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Indexed (index-nested-loop) executor
+# The executor: a plan of nodes
 # ---------------------------------------------------------------------------
 
+# Where a cover's candidate rows come from (``_Access.source``).
+_DELTA = 0  # the write log: rows new since the watermark
+_BY_KEY = 1  # one dict probe: every key column is fixed
+_ENTRY = 2  # the index entry of the fixed columns
+_DISTINCT = 3  # one row per distinct value of the node's columns
+_ALL = 4  # every row
 
-class _IndexedStep:
-    """One atom of an indexed plan, with column roles resolved.
+# What a by-key probe does with the output of the row it finds.
+_CHECK_SLOT = 0
+_CHECK_CONST = 1
+_BIND = 2
 
-    ``proj_cols``/``proj_get`` describe the hash-index lookup (constants and
-    already-bound variables); ``by_key`` marks a step whose key columns are
-    all bound, which probes the row dict by key instead of an index;
-    ``key_binds``/``out_bind`` write first-occurrence variables into slots;
-    ``key_dups``/``out_dup`` check repeated variables;
-    ``key_consts``/``out_const`` check constants per row (used by the delta
-    step, which scans the write log instead of an index).
+
+def _projector(specs: List[Tuple[bool, object]], n_slots: int):
+    """``(constant, getter)`` for a projection whose columns are ``specs``,
+    each ``(True, slot)`` or ``(False, constant)``, ``n_slots`` of them
+    slots: the constant tuple when no column reads a slot (``getter``
+    None), else a getter ``regs -> tuple`` (``constant`` None)."""
+    if not n_slots:
+        return tuple([payload for _is_slot, payload in specs]), None
+    if n_slots == len(specs):
+        if n_slots > 1:
+            return None, itemgetter(*[slot for _is_slot, slot in specs])
+        slot = specs[0][1]
+        return None, lambda regs: (regs[slot],)
+    frozen = tuple(specs)
+    return None, lambda regs: tuple([regs[p] if s else p for s, p in frozen])
+
+
+def _covers_key(cols: List[int], arity: int) -> bool:
+    """Whether the ascending columns ``cols`` include every key column."""
+    return not arity or (len(cols) >= arity and cols[arity - 1] == arity - 1)
+
+
+class _Access:
+    """One atom at one plan node, with its column roles resolved.
+
+    Each column is *fixed* (a constant, or a variable an earlier node
+    bound), *bound here* (a first occurrence, written into its slot, or a
+    repeat, checked against it), or *open* (left for a later node).
+
+    As the node's cover, the atom yields candidate rows (``source``): the
+    write log's new rows for the delta atom; one dict probe when every key
+    column is fixed; else the index entry of its fixed columns; else, when
+    columns stay open, one row per distinct value of the node's columns
+    (the keys of that column group's index); else every row.  A cover that
+    reads rows and leaves columns open deduplicates the value it binds
+    (``dedup``).  Constants of the delta atom are checked per row.  A
+    candidate's row is fetched only when its output or timestamp is read
+    (``reads_row``).
+
+    As a probe, the atom needs one dict probe when its fixed and just-bound
+    columns cover the key (``probe_by_key``), and the row's output is then
+    checked, or bound when it is the atom's lonely output; otherwise it
+    needs a non-empty entry of that column group's index.
     """
 
     __slots__ = (
         "func",
-        "arity",
-        "is_delta",
-        "by_key",
-        "proj_cols",
-        "proj_get",
+        "source",
+        "cols",
+        "proj",
+        "get",
+        "out_check",
         "key_consts",
         "out_const",
         "key_binds",
         "out_bind",
         "key_dups",
         "out_dup",
+        "dedup",
+        "reads_row",
+        "late_bind",
+        "probe_by_key",
+        "probe_cols",
+        "probe_get",
+        "probe_out",
     )
 
     def __init__(
         self,
         atom: TableAtom,
-        arity: int,
-        bound: Set[int],
+        fixed: Set[int],
         slot_of: Dict[str, int],
-        is_delta: bool,
+        here: Optional[Set[int]] = None,
+        lonely: Optional[int] = None,
+        is_delta: bool = False,
+        probe: bool = False,
     ) -> None:
+        """``fixed`` holds the slots earlier nodes bound, ``here`` the slots
+        this node's cover binds (None: every slot not fixed), and
+        ``lonely`` the slot of this atom's lonely output when it binds at
+        this node."""
         self.func = atom.func
-        self.arity = arity
-        self.is_delta = is_delta
-        proj_cols: List[int] = []
-        proj_get: List[Tuple[bool, object]] = []
+        args = atom.args
+        arity = len(args)
+        fixed_cols: List[int] = []
+        fixed_specs: List[Tuple[bool, object]] = []
+        fixed_slots = 0
+        here_cols: List[int] = []
         key_consts: List[Tuple[int, Value]] = []
-        self.out_const: Optional[Value] = None
+        out_const = None
         key_binds: List[Tuple[int, int]] = []
-        self.out_bind: Optional[int] = None
+        out_bind = None
         key_dups: List[Tuple[int, int]] = []
-        self.out_dup: Optional[int] = None
-        seen_here: Set[int] = set()
-        for col_index, col in enumerate(atom.columns()):
-            is_out = col_index == arity
-            if isinstance(col, QVar):
-                slot = slot_of[col.name]
-                if slot in bound:
-                    # Bound by an earlier atom: part of the index lookup.
-                    proj_cols.append(col_index)
-                    proj_get.append((True, slot))
+        out_dup = None
+        seen_here: List[int] = []
+        is_open = False
+        col = -1
+        for arg in args + (atom.out,):
+            col += 1
+            if arg.__class__ is QVar:
+                slot = slot_of[arg.name]
+                if slot in fixed:
+                    fixed_cols.append(col)
+                    fixed_specs.append((True, slot))
+                    fixed_slots += 1
+                elif here is not None and slot not in here and slot != lonely:
+                    is_open = True
                 elif slot in seen_here:
-                    # Repeated within this atom: per-row equality check
-                    # against the first occurrence's freshly-bound slot.
-                    if is_out:
-                        self.out_dup = slot
+                    here_cols.append(col)
+                    if col == arity:
+                        out_dup = slot
                     else:
-                        key_dups.append((col_index, slot))
+                        key_dups.append((col, slot))
                 else:
-                    seen_here.add(slot)
-                    if is_out:
-                        self.out_bind = slot
+                    seen_here.append(slot)
+                    here_cols.append(col)
+                    if col == arity:
+                        out_bind = slot
                     else:
-                        key_binds.append((col_index, slot))
+                        key_binds.append((col, slot))
             elif is_delta:
-                # The delta step scans the write log, so constants are
-                # checked per row rather than descended through an index.
-                if is_out:
-                    self.out_const = col
+                if col == arity:
+                    out_const = arg
                 else:
-                    key_consts.append((col_index, col))
+                    key_consts.append((col, arg))
             else:
-                proj_cols.append(col_index)
-                proj_get.append((False, col))
-        bound.update(seen_here)
-        self.by_key = not is_delta and proj_cols[:arity] == list(range(arity))
-        self.proj_cols = tuple(proj_cols)
-        self.proj_get = tuple(proj_get)
+                fixed_cols.append(col)
+                fixed_specs.append((False, arg))
+        # A cover whose row only supplies its lonely output binds that
+        # after the probes, so a candidate they reject costs no row fetch.
+        self.late_bind = None
+        if out_bind == lonely and out_bind is not None and not is_delta:
+            self.late_bind, out_bind = out_bind, None
+        self.reads_row = (
+            is_delta or out_const is not None or out_bind is not None or out_dup is not None
+        )
         self.key_consts = tuple(key_consts)
+        self.out_const = out_const
         self.key_binds = tuple(key_binds)
+        self.out_bind = out_bind
         self.key_dups = tuple(key_dups)
+        self.out_dup = out_dup
+        if is_delta:
+            self.source = _DELTA
+        elif _covers_key(fixed_cols, arity):
+            self.source = _BY_KEY
+            self.out_check = None
+            key_specs = fixed_specs
+            if len(fixed_cols) > arity:
+                self.out_check = fixed_specs[arity]
+                key_specs = fixed_specs[:arity]
+                fixed_slots -= self.out_check[0]
+            self.proj, self.get = _projector(key_specs, fixed_slots)
+        elif fixed_cols:
+            self.source = _ENTRY
+            self.cols = tuple(fixed_cols)
+            self.proj, self.get = _projector(fixed_specs, fixed_slots)
+        elif is_open:
+            self.source = _DISTINCT
+            self.cols = tuple(here_cols)
+        else:
+            self.source = _ALL
+        self.dedup = seen_here[0] if is_open and self.source != _DISTINCT else None
+        if probe:
+            self._resolve_probe(atom, arity, fixed_cols, fixed_specs, here_cols, slot_of, lonely)
+
+    def _resolve_probe(self, atom, arity, fixed_cols, fixed_specs, here_cols, slot_of, lonely):
+        """The probe role: the fixed columns plus those holding a variable
+        the cover binds (every bound-here column but the lonely output)."""
+        columns = atom.columns()
+        known = list(zip(fixed_cols, fixed_specs))
+        for col in here_cols:
+            slot = slot_of[columns[col].name]
+            if slot != lonely:
+                known.append((col, (True, slot)))
+        known.sort(key=lambda entry: entry[0])
+        cols = [col for col, _spec in known]
+        specs = [spec for _col, spec in known]
+        self.probe_by_key = _covers_key(cols, arity)
+        self.probe_out: Optional[Tuple[int, object]] = None
+        if self.probe_by_key:
+            if len(specs) > arity:
+                is_slot, payload = specs.pop()
+                self.probe_out = (_CHECK_SLOT if is_slot else _CHECK_CONST, payload)
+            elif lonely is not None:
+                self.probe_out = (_BIND, lonely)
+        else:
+            self.probe_cols = tuple(cols)
+        const, get = _projector(specs, sum(is_slot for is_slot, _payload in specs))
+        self.probe_get = get if get is not None else (lambda regs: const)
 
 
-class CompiledIndexedQuery:
-    """Positional index-nested-loop executor for one query.
+def _pick(
+    accesses: Tuple[_Access, ...],
+    tables: Dict[str, Table],
+    regs: List[Optional[Value]],
+) -> Optional[Tuple[int, List]]:
+    """The position of the access with the fewest candidates and its
+    candidate keys, or None when some access has none."""
+    best = -1
+    best_size = 0
+    best_cands = None
+    for position, access in enumerate(accesses):
+        table = tables[access.func]
+        source = access.source
+        if source == _BY_KEY:
+            key = access.proj if access.get is None else access.get(regs)
+            row = table.data.get(key)
+            if row is None:
+                return None
+            check = access.out_check
+            if check is not None and row.value != (
+                regs[check[1]] if check[0] else check[1]
+            ):
+                return None
+            cands = (key,)
+        elif source == _ENTRY:
+            cands = table.index(access.cols).get(
+                access.proj if access.get is None else access.get(regs)
+            )
+            if not cands:
+                return None
+        elif source == _DISTINCT:
+            cands = table.index(access.cols)
+        else:
+            cands = table.data
+        size = len(cands)
+        if not size:
+            return None
+        if best < 0 or size < best_size:
+            best, best_size, best_cands = position, size, cands
+    if accesses[best].source == _DISTINCT:
+        return best, [next(iter(keys)) for keys in best_cands.values()]  # type: ignore[union-attr]
+    return best, list(best_cands)  # type: ignore[arg-type]
 
-    Per-atom step structures are cached keyed by ``(delta_atom, order)``:
-    the greedy atom order (:func:`plan_order`) still consults live table
-    sizes, but once an order has been seen its column-role resolution is
-    never repeated.
+
+#: One plan node: ``(cover, probes, accesses, others)``.  A node with a
+#: fixed cover has ``accesses`` None; a node whose cover is picked per
+#: visit has ``cover`` None, and ``others[i]`` are the probes when
+#: ``accesses[i]`` covers.
+_Node = Tuple[
+    Optional[_Access],
+    Optional[Tuple[_Access, ...]],
+    Optional[Tuple[_Access, ...]],
+    Optional[Tuple[Tuple[_Access, ...], ...]],
+]
+
+
+class CompiledQuery:
+    """The join executor for one query: a plan of nodes, walked depth first.
+
+    Each node iterates one atom's candidate rows (its *cover*), binds the
+    variables the node owns, and probes the other atoms that hold them.
+    The shape of the body picks the plan (:func:`is_acyclic`):
+
+    * an α-acyclic body binds one atom per node, in the greedy order of
+      :func:`plan_order` (index-nested-loop join);
+    * a cyclic body binds one variable per node, in a structural order
+      (variables held by more atoms first), and each visit lets the atom
+      with the fewest candidates cover it (generic join).  A variable that
+      only one atom's output column holds binds with that atom's last
+      variable, from the row that node already holds.
+
+    Either way a semi-naïve delta atom is the first node, read from the
+    write log.  Plans are cached per ``(delta atom, order)``.
     """
 
     def __init__(
@@ -340,38 +508,107 @@ class CompiledIndexedQuery:
         self.query = query
         self.slot_of = slot_of
         self.n_slots = n_slots
+        self.acyclic = is_acyclic(query.atoms)
         self.prim_runner = compile_prims(
             query.prims, slot_of, _table_bound_slots(query, slot_of), registry
         )
         #: No primitive atoms at all: the leaf emits without a runner call.
         self.no_prims = not query.prims
-        self._steps_cache: Dict[
-            Tuple[Optional[int], Tuple[int, ...]], Tuple[_IndexedStep, ...]
+        self._plans: Dict[
+            Tuple[Optional[int], Optional[Tuple[int, ...]]], Tuple[_Node, ...]
         ] = {}
 
-    def _steps_for(
-        self,
-        delta_atom: Optional[int],
-        order: Tuple[int, ...],
-        tables: Dict[str, Table],
-    ) -> Tuple[_IndexedStep, ...]:
-        cached = self._steps_cache.get((delta_atom, order))
-        if cached is not None:
-            return cached
+    # -- planning ------------------------------------------------------------
+
+    def _plan(
+        self, delta_atom: Optional[int], order: Optional[Tuple[int, ...]]
+    ) -> Tuple[_Node, ...]:
         atoms = self.query.atoms
+        slot_of = self.slot_of
+        if order is not None:
+            bound: Set[int] = set()
+            nodes: List[_Node] = []
+            for index in order:
+                access = _Access(atoms[index], bound, slot_of, is_delta=index == delta_atom)
+                nodes.append((access, (), None, None))
+                bound.update([slot for _col, slot in access.key_binds])
+                if access.out_bind is not None:
+                    bound.add(access.out_bind)
+            return tuple(nodes)
+        return self._generic_plan(delta_atom)
+
+    def _generic_plan(self, delta_atom: Optional[int]) -> Tuple[_Node, ...]:
+        """Nodes of a cyclic body: the delta atom's, binding all its
+        variables; then one per atom with no variable of its own (one
+        dict probe each, so a missing ground row ends the search first);
+        then one per remaining variable in structural order."""
+        atoms = self.query.atoms
+        slot_of = self.slot_of
+        occurrences = Counter(name for atom in atoms for name in atom.variables())
+        lonely: Dict[int, int] = {}  # atom index -> slot of its lonely output
+        for index, atom in enumerate(atoms):
+            if isinstance(atom.out, QVar) and occurrences[atom.out.name] == 1:
+                lonely[index] = slot_of[atom.out.name]
+        own = [
+            {slot_of[name] for name in atom.variables()} - {lonely.get(index)}
+            for index, atom in enumerate(atoms)
+        ]
         bound: Set[int] = set()
-        steps = tuple(
-            _IndexedStep(
-                atoms[index],
-                tables[atoms[index].func].decl.arity,
-                bound,
-                self.slot_of,
-                delta_atom is not None and index == delta_atom,
-            )
-            for index in order
-        )
-        self._steps_cache[(delta_atom, order)] = steps
-        return steps
+        nodes: List[_Node] = []
+
+        def lonely_at(index: int, after: Set[int]) -> Optional[int]:
+            return lonely.get(index) if own[index] <= after else None
+
+        def add_node(slots: Set[int], holders: List[int], cover: Optional[int]) -> None:
+            after = bound | slots
+            accesses = [
+                _Access(
+                    atoms[index],
+                    bound,
+                    slot_of,
+                    here=slots,
+                    lonely=lonely_at(index, after),
+                    is_delta=index == cover and index == delta_atom,
+                    probe=index != cover and len(holders) > 1,
+                )
+                for index in holders
+            ]
+            for index in holders:
+                if lonely_at(index, after) is not None:
+                    after.add(lonely[index])
+            if cover is not None:
+                position = holders.index(cover)
+                nodes.append(
+                    (accesses[position], tuple(accesses[:position] + accesses[position + 1:]), None, None)
+                )
+            elif len(accesses) == 1:
+                nodes.append((accesses[0], (), None, None))
+            else:
+                others = tuple(
+                    tuple(other for other in accesses if other is not access)
+                    for access in accesses
+                )
+                nodes.append((None, None, tuple(accesses), others))
+            bound.update(after)
+
+        if delta_atom is not None:
+            slots = {slot_of[name] for name in atoms[delta_atom].variables()}
+            holders = [delta_atom] + [
+                index for index in range(len(atoms)) if index != delta_atom and own[index] & slots
+            ]
+            add_node(slots, holders, delta_atom)
+        for index in range(len(atoms)):
+            if not own[index] and index != delta_atom:
+                add_node(set(), [index], index)
+        for name in structural_var_order(atoms):
+            slot = slot_of[name]
+            if slot in bound or slot in lonely.values():
+                continue
+            holders = [index for index in range(len(atoms)) if slot in own[index]]
+            add_node({slot}, holders, None)
+        return tuple(nodes)
+
+    # -- execution -----------------------------------------------------------
 
     def search(
         self,
@@ -381,11 +618,10 @@ class CompiledIndexedQuery:
         emit: Callable[[MatchTuple], None],
     ) -> None:
         """Run the query, calling ``emit`` once per match tuple."""
-        query = self.query
-        atoms = query.atoms
         prim_runner = self.prim_runner
         if prim_runner is None:
             return  # unsafe primitive schedule: every match fails
+        atoms = self.query.atoms
         if not atoms:
             regs: List[Optional[Value]] = [None] * self.n_slots
             if prim_runner(regs):
@@ -394,67 +630,102 @@ class CompiledIndexedQuery:
         for atom in atoms:
             if atom.func not in tables:
                 return
-        order = tuple(plan_order(atoms, tables, delta_atom))
-        steps = self._steps_for(delta_atom, order, tables)
+        order = tuple(plan_order(atoms, tables, delta_atom)) if self.acyclic else None
+        nodes = self._plans.get((delta_atom, order))
+        if nodes is None:
+            nodes = self._plans[(delta_atom, order)] = self._plan(delta_atom, order)
         regs = [None] * self.n_slots
-        self._walk(0, steps, tables, since, regs, emit)
+        self._walk(0, nodes, tables, since, regs, emit)
 
     def _walk(
         self,
         position: int,
-        steps: Tuple[_IndexedStep, ...],
+        nodes: Tuple[_Node, ...],
         tables: Dict[str, Table],
         since: int,
         regs: List[Optional[Value]],
         emit: Callable[[MatchTuple], None],
     ) -> None:
-        step = steps[position]
-        table = tables[step.func]
-        if step.is_delta:
-            candidates = table.new_keys(since)
-        elif step.by_key:
-            proj = tuple(
-                [regs[spec] if is_slot else spec for is_slot, spec in step.proj_get]
-            )
-            key = proj[: step.arity]
-            row = table.data.get(key)
-            if row is None or (len(proj) > step.arity and row.value != proj[-1]):
+        cover, probes, accesses, others = nodes[position]
+        if cover is None:
+            picked = _pick(accesses, tables, regs)  # type: ignore[arg-type]
+            if picked is None:
                 return
-            candidates = [key]
-        elif step.proj_cols:
-            index = table.index(step.proj_cols)
-            proj = tuple(
-                [regs[spec] if is_slot else spec for is_slot, spec in step.proj_get]
-            )
-            entry = index.get(proj)
-            if not entry:
-                return
-            # Snapshot the entry: the index is live (incrementally
-            # maintained) and deeper steps may trigger table reads.
-            candidates = list(entry)
+            choice, candidates = picked
+            cover = accesses[choice]  # type: ignore[index]
+            probes = others[choice]  # type: ignore[index]
+            table = tables[cover.func]
         else:
-            candidates = list(table.data.keys())
+            # The same sources as ``_pick``, inlined: an acyclic plan
+            # visits a node once per row of the node before it.
+            table = tables[cover.func]
+            source = cover.source
+            if source == _DELTA:
+                candidates = table.new_keys(since)
+            elif source == _BY_KEY:
+                key = cover.proj if cover.get is None else cover.get(regs)
+                row = table.data.get(key)
+                if row is None:
+                    return
+                check = cover.out_check
+                if check is not None and row.value != (
+                    regs[check[1]] if check[0] else check[1]
+                ):
+                    return
+                candidates = [key]
+            elif source == _ENTRY:
+                entry = table.index(cover.cols).get(
+                    cover.proj if cover.get is None else cover.get(regs)
+                )
+                if not entry:
+                    return
+                # Snapshot the entry: the index is live (incrementally
+                # maintained) and deeper nodes may trigger table reads.
+                candidates = list(entry)
+            elif source == _ALL:
+                candidates = list(table.data)
+            else:
+                candidates = [
+                    next(iter(keys)) for keys in table.index(cover.cols).values()
+                ]
 
         data = table.data
-        is_delta = step.is_delta
-        key_consts = step.key_consts
-        out_const = step.out_const
-        key_binds = step.key_binds
-        out_bind = step.out_bind
-        key_dups = step.key_dups
-        out_dup = step.out_dup
+        is_delta = cover.source == _DELTA
+        reads_row = cover.reads_row
+        late_bind = cover.late_bind
+        key_consts = cover.key_consts
+        out_const = cover.out_const
+        key_binds = cover.key_binds
+        out_bind = cover.out_bind
+        key_dups = cover.key_dups
+        out_dup = cover.out_dup
+        dedup = cover.dedup
+        checks = dedup is not None or bool(probes) or late_bind is not None
+        if checks:
+            seen: Set[Value] = set()
+            lookups = [
+                (
+                    probe.probe_get,
+                    probe.probe_out,
+                    tables[probe.func].data
+                    if probe.probe_by_key
+                    else tables[probe.func].index(probe.probe_cols),
+                )
+                for probe in probes  # type: ignore[union-attr]
+            ]
         next_position = position + 1
-        # The deepest step emits inline instead of recursing once per row.
-        at_leaf = next_position == len(steps)
+        # The deepest node emits inline instead of recursing once per row.
+        at_leaf = next_position == len(nodes)
         prim_runner = None if self.no_prims else self.prim_runner
         for key in candidates:
-            row = data.get(key)
-            if row is None:
-                continue
-            if is_delta and row.timestamp < since:
-                continue
-            if out_const is not None and row.value != out_const:
-                continue
+            if reads_row:
+                row = data.get(key)
+                if row is None:
+                    continue
+                if is_delta and row.timestamp < since:
+                    continue
+                if out_const is not None and row.value != out_const:
+                    continue
             ok = True
             for col, expected in key_consts:
                 if key[col] != expected:
@@ -474,248 +745,46 @@ class CompiledIndexedQuery:
                 continue
             if out_dup is not None and row.value != regs[out_dup]:
                 continue
+            if checks:
+                if dedup is not None:
+                    value = regs[dedup]
+                    if value in seen:
+                        continue
+                    seen.add(value)
+                for get, out, lookup in lookups:
+                    hit = lookup.get(get(regs))
+                    if not hit:
+                        ok = False
+                        break
+                    if out is not None:
+                        kind, payload = out
+                        if kind == _BIND:
+                            regs[payload] = hit.value
+                        elif hit.value != (regs[payload] if kind == _CHECK_SLOT else payload):
+                            ok = False
+                            break
+                if not ok:
+                    continue
+                if late_bind is not None:
+                    regs[late_bind] = data[key].value
             if at_leaf:
                 if prim_runner is None or prim_runner(regs):
                     emit(tuple(regs))  # type: ignore[arg-type]
             else:
-                self._walk(next_position, steps, tables, since, regs, emit)
+                self._walk(next_position, nodes, tables, since, regs, emit)
 
 
-# ---------------------------------------------------------------------------
-# Generic-join executor
-# ---------------------------------------------------------------------------
-
-_ROLE_BIND = 0
-_ROLE_DUP = 1
-_ROLE_CONST = 2
-
-
-class _GenericAtom:
-    """Static per-atom data for the generic-join executor.
-
-    ``spec`` is the table-trie access plan (None for repeated-variable
-    atoms).  ``roles`` drive the per-search trie build with zero per-row
-    isinstance work: each entry is ``(role, payload)`` per column — bind
-    into a local projection slot, compare against an earlier local slot, or
-    compare against a constant.  ``permutation`` reorders the projected row
-    into the global variable-rank order for the trie build.
-    """
-
-    __slots__ = ("func", "spec", "sorted_vars", "roles", "permutation", "width")
-
-    def __init__(self, atom: TableAtom, spec, var_rank: Dict[str, int]) -> None:
-        self.func = atom.func
-        self.spec = spec
-        local_of: Dict[str, int] = {}
-        names: List[str] = []
-        roles: List[Tuple[int, object]] = []
-        for col in atom.columns():
-            if isinstance(col, QVar):
-                local = local_of.get(col.name)
-                if local is None:
-                    local_of[col.name] = len(names)
-                    roles.append((_ROLE_BIND, len(names)))
-                    names.append(col.name)
-                else:
-                    roles.append((_ROLE_DUP, local))
-            else:
-                roles.append((_ROLE_CONST, col))
-        sorted_names = tuple(sorted(names, key=lambda v: var_rank[v]))
-        self.sorted_vars = sorted_names
-        self.roles = tuple(roles)
-        self.permutation = tuple(names.index(v) for v in sorted_names)
-        self.width = len(names)
-
-
-class CompiledGenericQuery:
-    """Positional worst-case-optimal generic-join executor for one query.
-
-    The global variable order, the per-depth involved-atom lists, and every
-    atom's column roles are resolved once at construction; an execution
-    only descends tries and intersects children.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        slot_of: Dict[str, int],
-        n_slots: int,
-        registry: PrimitiveRegistry,
-    ) -> None:
-        self.query = query
-        self.slot_of = slot_of
-        self.n_slots = n_slots
-        self.prim_runner = compile_prims(
-            query.prims, slot_of, _table_bound_slots(query, slot_of), registry
-        )
-        self.no_prims = not query.prims
-        plan = plan_query(query)
-        self.var_order = plan.var_order
-        self.depth_slots = tuple(slot_of[name] for name in plan.var_order)
-        self.atoms = tuple(
-            _GenericAtom(atom, spec, plan.var_rank)
-            for atom, spec in zip(query.atoms, plan.specs)
-        )
-        # Ascending atom order per depth (the size comparison in
-        # ``_descend`` tie-breaks on the first atom in that order).
-        self.involved = tuple(
-            tuple(
-                index
-                for index, ga in enumerate(self.atoms)
-                if depth_var in ga.sorted_vars
-            )
-            for depth_var in self.var_order
-        )
-
-    # -- per-execution trie setup --------------------------------------------
-
-    def _atom_node(
-        self,
-        ga: _GenericAtom,
-        table: Table,
-        restrict: bool,
-        since: int,
-    ) -> Optional[Dict]:
-        """The sub-trie this atom contributes, or None when it is empty.
-
-        A non-delta atom with a spec descends its table's trie.  The delta
-        atom's trie is built here from the rows new since ``since``, and a
-        repeated-variable atom's from every row: project rows through the
-        precomputed column roles, building the trie in variable-rank order.
-        """
-        if ga.spec is not None and not restrict:
-            return descend_constants(
-                table.trie(ga.spec.order).root, ga.spec.const_values
-            )
-        roles = ga.roles
-        width = ga.width
-        permutation = ga.permutation
-        root: Dict = {}
-        matched = False
-        if restrict:
-            data = table.data
-            row_iter = (
-                (key, data[key]) for key in table.new_keys(since)
-            )
-        else:
-            row_iter = iter(table.data.items())
-        local: List[Optional[Value]] = [None] * (width or 1)
-        for key, row in row_iter:
-            full = key + (row.value,)
-            ok = True
-            for position, (role, payload) in enumerate(roles):
-                value = full[position]
-                if role == _ROLE_BIND:
-                    local[payload] = value
-                elif role == _ROLE_DUP:
-                    if value != local[payload]:
-                        ok = False
-                        break
-                else:
-                    if value != payload:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            matched = True
-            if not width:
-                continue
-            node = root
-            for level in permutation[:-1]:
-                node = node.setdefault(local[level], {})
-            node[local[permutation[-1]]] = True
-        if not width:
-            return NONEMPTY if matched else None
-        return root if root else None
-
-    # -- execution -----------------------------------------------------------
-
-    def search(
-        self,
-        tables: Dict[str, Table],
-        delta_atom: Optional[int],
-        since: int,
-        emit: Callable[[MatchTuple], None],
-    ) -> None:
-        """Run the query, calling ``emit`` once per match tuple."""
-        prim_runner = self.prim_runner
-        if prim_runner is None:
-            return
-        atoms = self.query.atoms
-        if not atoms:
-            regs: List[Optional[Value]] = [None] * self.n_slots
-            if prim_runner(regs):
-                emit(tuple(regs))  # type: ignore[arg-type]
-            return
-        for atom in atoms:
-            if atom.func not in tables:
-                return
-
-        n_atoms = len(self.atoms)
-        # The delta atom goes first: if nothing is new since the watermark,
-        # the search exits before any other atom pays for trie work.
-        atom_order = list(range(n_atoms))
-        if delta_atom is not None:
-            atom_order.remove(delta_atom)
-            atom_order.insert(0, delta_atom)
-        nodes: List[Dict] = [_EMPTY] * n_atoms
-        for index in atom_order:
-            ga = self.atoms[index]
-            restrict = delta_atom is not None and index == delta_atom
-            node = self._atom_node(ga, tables[ga.func], restrict, since)
-            if node is None:
-                return
-            nodes[index] = node
-
-        regs = [None] * self.n_slots
-        self._descend(0, nodes, regs, emit)
-
-    def _descend(
-        self,
-        depth: int,
-        nodes: List[Dict],
-        regs: List[Optional[Value]],
-        emit: Callable[[MatchTuple], None],
-    ) -> None:
-        if depth == len(self.depth_slots):
-            if self.no_prims or self.prim_runner(regs):  # type: ignore[misc]
-                emit(tuple(regs))  # type: ignore[arg-type]
-            return
-        involved = self.involved[depth]
-        if not involved:
-            self._descend(depth + 1, nodes, regs, emit)
-            return
-        slot = self.depth_slots[depth]
-        next_depth = depth + 1
-        smallest = involved[0]
-        best = len(nodes[smallest])
-        for index in involved[1:]:
-            size = len(nodes[index])
-            if size < best:
-                smallest, best = index, size
-        saved = [nodes[index] for index in involved]
-        at_leaf = next_depth == len(self.depth_slots)
-        prim_runner = None if self.no_prims else self.prim_runner
-        # Snapshot the iterated level: table tries are live structures.
-        for value in list(nodes[smallest]):
-            ok = True
-            for position, index in enumerate(involved):
-                child = saved[position].get(value)
-                if child is None:
-                    ok = False
-                    break
-                nodes[index] = child if child.__class__ is dict else _EMPTY
-            if not ok:
-                continue
-            regs[slot] = value
-            if at_leaf:
-                if prim_runner is None or prim_runner(regs):
-                    emit(tuple(regs))  # type: ignore[arg-type]
-            else:
-                self._descend(next_depth, nodes, regs, emit)
-        for position, index in enumerate(involved):
-            nodes[index] = saved[position]
-
+def structural_var_order(atoms: Sequence[TableAtom]) -> List[str]:
+    """Variables by the number of atoms that hold them (most first), ties
+    broken by first occurrence.  Stable across searches, so a cyclic
+    body's plan depends on its structure only."""
+    holders: Counter = Counter()
+    for atom in atoms:
+        holders.update(set(atom.variables()))
+    first_seen = {name: rank for rank, name in enumerate(
+        dict.fromkeys(name for atom in atoms for name in atom.variables())
+    )}
+    return sorted(holders, key=lambda name: (-holders[name], first_seen[name]))
 
 # ---------------------------------------------------------------------------
 # Join selection
@@ -746,20 +815,3 @@ def is_acyclic(atoms: Sequence[TableAtom]) -> bool:
                 changed = True
                 break
     return len(edges) <= 1
-
-
-def compile_query(
-    query: Query,
-    slot_of: Dict[str, int],
-    n_slots: int,
-    registry: PrimitiveRegistry,
-) -> Union[CompiledIndexedQuery, CompiledGenericQuery]:
-    """The executor for ``query``, read off the shape of its body.
-
-    A cyclic body (a triangle, a 4-cycle) gets worst-case optimal generic
-    join; any other body gets index-nested-loop join, which is faster on
-    acyclic bodies because it needs no trie.
-    """
-    if is_acyclic(query.atoms):
-        return CompiledIndexedQuery(query, slot_of, n_slots, registry)
-    return CompiledGenericQuery(query, slot_of, n_slots, registry)

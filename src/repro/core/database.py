@@ -7,17 +7,15 @@ iteration at which it was inserted or last updated — which is what makes
 semi-naïve evaluation (Section 4.3) possible: a delta query only needs to
 look at rows whose timestamp is at least the rule's last-run timestamp.
 
-Tables own two kinds of indexes with one lifecycle: each is built from
-the current rows on first request, kept exact by every ``put``/``remove``
+Tables own one kind of index: a hash index per column group
+(``index``), mapping each projection on those columns to the keys of the
+rows that have it.  Query plans, rebuilding's dirty-id probes and
+extraction's parent lookups all read them.  An index is built from the
+current rows on first request, kept exact by every ``put``/``remove``
 that changes a row's value (including the canonicalizing rewrites
 rebuilding performs), and dropped when a restore or bulk load installs
 different rows.  Invariant: every built index equals one built fresh from
 the table's rows.
-
-* hash indexes over column subsets (``index``), used by the
-  index-nested-loop join and by rebuilding's dirty-id probes, and
-* column-order tries (``trie``, a :class:`~repro.core.index.TrieIndex`),
-  descended directly by generic join.
 
 Indexes describe row values, never timestamps: a restamp leaves them
 alone, and the semi-naïve delta is read from the write log instead.
@@ -28,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .index import Order, TrieIndex
 from .schema import FunctionDecl
 from .values import Value
 
@@ -80,7 +77,6 @@ class Table:
         self.decl = decl
         self.data: Dict[Key, Row] = {}
         self._indexes: Dict[Tuple[int, ...], HashIndex] = {}
-        self._tries: Dict[Order, TrieIndex] = {}
         # Append-only write log (parallel timestamp/key arrays) so that
         # ``new_keys`` — the semi-naïve delta (Section 4.3) — costs
         # O(|delta|) rather than a full-table scan.  The engine only writes
@@ -91,7 +87,7 @@ class Table:
         self._log_sorted = True
         # Deferred index maintenance (see begin_batch): while a batch is
         # open, put/remove update ``data`` and the write log immediately but
-        # queue their index/trie maintenance.  ``_pending`` maps each touched
+        # queue their index maintenance.  ``_pending`` maps each touched
         # key to the Row (or None) it had when the batch first touched it;
         # the flush applies one net update per key instead of one per write.
         self._batch_depth = 0
@@ -134,7 +130,7 @@ class Table:
             self._compact_log()
 
         if self._batch_depth:
-            if (self._indexes or self._tries) and key not in self._pending:
+            if self._indexes and key not in self._pending:
                 self._pending[key] = old
             return
         if old is not None and old.value == value:
@@ -152,10 +148,6 @@ class Table:
                         if not entry:
                             del index[old_proj]
                 index.setdefault(self._project(columns, key, value), {})[key] = None
-        for trie in self._tries.values():
-            if old is not None:
-                trie.remove(key + (old.value,))
-            trie.insert(key + (value,))
 
     def _project(self, columns: Tuple[int, ...], key: Key, value: Value) -> Tuple[Value, ...]:
         arity = self.decl.arity
@@ -175,7 +167,7 @@ class Table:
         """Take private copies of the rows and write log a snapshot holds.
 
         The one-time cost of the first write after :meth:`snapshot` or
-        :meth:`restore`; indexes and tries are table-owned and carry over.
+        :meth:`restore`; indexes are table-owned and carry over.
         """
         self.data = dict(self.data)
         self._log_ts = list(self._log_ts)
@@ -192,7 +184,7 @@ class Table:
         if row is None:
             return None
         if self._batch_depth:
-            if (self._indexes or self._tries) and key not in self._pending:
+            if self._indexes and key not in self._pending:
                 self._pending[key] = row
             return row
         if self._indexes:
@@ -203,8 +195,6 @@ class Table:
                     entry.pop(key, None)
                     if not entry:
                         del index[proj]
-        for trie in self._tries.values():
-            trie.remove(key + (row.value,))
         return row
 
     def rows(self) -> Iterator[Tuple[Key, Value, int]]:
@@ -246,7 +236,7 @@ class Table:
 
         The scheduler's zero-delta short-circuit: when an atom's table has
         nothing new since a rule's watermark, the whole delta search for
-        that atom is skipped before any trie or index work happens.
+        that atom is skipped before any index work happens.
         """
         if not self._log_sorted:
             return any(row.timestamp >= since for row in self.data.values())
@@ -260,11 +250,11 @@ class Table:
     # -- batched maintenance (apply-phase / rebuild write bursts) -------------
 
     def begin_batch(self) -> None:
-        """Start deferring index/trie maintenance for a write burst.
+        """Start deferring index maintenance for a write burst.
 
         ``data`` and the write log stay up to date (reads through ``get`` /
-        ``new_keys`` see every write immediately), but hash-index and trie
-        updates are queued and applied as one *net* update per key at
+        ``new_keys`` see every write immediately), but index updates are
+        queued and applied as one *net* update per key at
         :meth:`end_batch`.  The apply phase and rebuild's repair loop use
         this: a key that is removed and re-inserted (or overwritten several
         times) inside the batch costs one index remove + one insert instead
@@ -281,7 +271,7 @@ class Table:
             self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Apply the net index/trie effect of every key touched in a batch.
+        """Apply the net index effect of every key touched in a batch.
 
         Index-major: the outer loop walks each index once with its column
         set and projection decisions hoisted, instead of re-dispatching per
@@ -314,12 +304,6 @@ class Table:
                     index_setdefault(
                         self._project(columns, key, row.value), {}
                     )[key] = None
-        for trie in self._tries.values():
-            for key, old, row in changed:
-                if old is not None:
-                    trie.remove(key + (old.value,))
-                if row is not None:
-                    trie.insert(key + (row.value,))
 
     # -- snapshots (push/pop support) ----------------------------------------
 
@@ -354,7 +338,6 @@ class Table:
         if state[0] is not self.data:
             self._pending.clear()
             self._indexes.clear()
-            self._tries.clear()
         self.data, self._log_ts, self._log_keys, self._log_sorted = state
         self._shared = True
 
@@ -371,7 +354,6 @@ class Table:
         self._compact_log()
         self._pending.clear()
         self._indexes.clear()
-        self._tries.clear()
 
     # -- hash indexes ---------------------------------------------------------
 
@@ -398,19 +380,3 @@ class Table:
         """Single-column index view (used by tests and introspection)."""
         grouped = self.index((column,))
         return {proj[0]: keys for proj, keys in grouped.items()}
-
-    # -- trie indexes ---------------------------------------------------------
-
-    def trie(self, order: Order) -> TrieIndex:
-        """Trie over the column ordering ``order`` (a permutation of all
-        columns ``0 .. arity``).
-
-        Same lifecycle as :meth:`index`: built from the current rows on
-        first request, then maintained incrementally by ``put``/``remove``.
-        """
-        if self._pending:
-            self._flush_pending()
-        trie = self._tries.get(order)
-        if trie is None:
-            trie = self._tries[order] = TrieIndex(order, self.tuples())
-        return trie

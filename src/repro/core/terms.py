@@ -145,7 +145,13 @@ def term_size(term: Term) -> int:
 
 
 def term_depth(term: Term) -> int:
-    """Depth of the term tree (literals and variables have depth 1)."""
-    if isinstance(term, TermApp) and term.args:
-        return 1 + max(term_depth(a) for a in term.args)
-    return 1
+    """Depth of the term tree (literals and variables have depth 1).
+
+    Iterative, so it measures terms deeper than the recursion limit.
+    """
+    depth = 0
+    level = [term]
+    while level:
+        depth += 1
+        level = [arg for node in level if isinstance(node, TermApp) for arg in node.args]
+    return depth

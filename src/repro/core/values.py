@@ -87,9 +87,8 @@ class Value(tuple):
     same equivalence class; use ``engine.canonicalize`` before comparing.
 
     Values are immutable and are the single hottest object in the engine:
-    every database key column, index projection, and trie level is a
-    ``Value`` used as a dict key, so rows (tuples of Values) are hashed and
-    compared millions of times per run.  The class is therefore a ``tuple``
+    database keys and index projections are tuples of Values used as
+    dict keys, so they are hashed and compared millions of times per run.  The class is therefore a ``tuple``
     subclass ``(sort, data)`` with ``__slots__ = ()``: hashing and equality
     run entirely in C (the dataclass-generated ``__hash__`` this replaced —
     a Python-level call building a fresh tuple per invocation — alone

@@ -10,15 +10,14 @@ The split that makes sharing sound: a rule's executor has an
 **engine-independent** half and an **engine-bound** half.
 
 * The query plan — slot assignment (:func:`~repro.core.compile.assign_slots`)
-  plus the compiled search (:class:`~repro.core.compile.CompiledIndexedQuery`
-  / :class:`~repro.core.compile.CompiledGenericQuery`) — closes over nothing
-  but the query structure and the primitive registry.  ``search`` receives
-  the tables per call, so one plan serves any engine that shares the
-  registry.  That half lives here, in one process-wide LRU keyed by
-  (structural query fingerprint, registry identity, registry version).
-  The executor kind is read off the query's shape
-  (:func:`~repro.core.compile.compile_query`), so the fingerprint
-  determines it.
+  plus the compiled search (:class:`~repro.core.compile.CompiledQuery`) —
+  closes over nothing but the query structure and the primitive registry.
+  ``search`` receives the tables per call, so one plan serves any engine
+  that shares the registry.  That half lives here, in one process-wide LRU
+  keyed by (structural query fingerprint, registry identity, registry
+  version).  The plan shape is read off the query's body
+  (:func:`~repro.core.compile.is_acyclic`), so the fingerprint determines
+  it.
 * The action program (:func:`~repro.engine.program.compile_actions`) captures
   the engine's tables, declarations, and counters — it stays per-engine,
   rebuilt by each :class:`~repro.engine.program.RuleExec`.
@@ -39,9 +38,8 @@ single-use plans and skew its hit rate.
 
 Thread safety: the cache itself is lock-protected, and the cached plan
 objects are safe to *use* concurrently — their only mutation is the
-idempotent, last-write-wins ``_steps_cache`` build inside the indexed
-executor (keyed by ``(delta atom, atom order)``, value identical for a
-given key).
+idempotent, last-write-wins ``_plans`` build inside the executor (keyed by
+``(delta atom, atom order)``, value identical for a given key).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from collections import OrderedDict
 from typing import Dict, Tuple
 
 from ..core.builtins import PrimitiveRegistry
-from ..core.compile import assign_slots, compile_query
+from ..core.compile import CompiledQuery, assign_slots
 from ..core.query import Query
 
 #: Cache key: (registry id, registry version, query fingerprint).
@@ -69,7 +67,7 @@ class CompiledPlan:
         self.slot_of = slot_of
         self.slot_names = slot_names
         self.n_slots = len(slot_names)
-        self.query_exec: object = compile_query(query, slot_of, self.n_slots, registry)
+        self.query_exec = CompiledQuery(query, slot_of, self.n_slots, registry)
         #: Strong reference pinning the registry for this entry's lifetime —
         #: guarantees the ``id(registry)`` component of the key stays unique.
         self.registry = registry

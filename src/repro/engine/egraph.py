@@ -54,13 +54,13 @@ Key = Tuple[Value, ...]
 class EGraph:
     """An egglog engine instance.
 
-    Rule search and one-off queries pick their join from the shape of the
-    query body (Section 5.1: any relational join algorithm implements
-    e-matching over the canonical database): index-nested-loop over hash
-    indexes for α-acyclic bodies, worst-case-optimal generic join over
-    column tries for cyclic ones (see :mod:`repro.core.compile`).  Tables
-    build either kind of index on first use and keep it exact on every
-    write, so a body pays only for the indexes its search asks for.
+    Rule search and one-off queries run one join executor whose plan
+    takes its shape from the query body (Section 5.1: any relational join
+    algorithm implements e-matching over the canonical database):
+    index-nested-loop for α-acyclic bodies, generic join for cyclic ones
+    (see :mod:`repro.core.compile`).  Both read the tables' hash indexes,
+    which are built on first use and kept exact on every write, so a body
+    pays only for the indexes its search asks for.
 
     ``proofs`` (default True) keeps a proof forest alongside the union-find
     so :meth:`explain` can answer *why* two terms are equal; disable it to

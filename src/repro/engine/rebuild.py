@@ -25,10 +25,10 @@ Because insertions always store canonical values, a row can only become
 stale through a union, and every union records its displaced representative
 in the dirty set.  Each round therefore repairs exactly the rows that
 mention a dirty id, found with one hash-index probe per (dirty id,
-eq-sorted column).  The hash indexes (and any tries a generic search
-built — see ``repro.core.index``) are maintained incrementally by the
-table on every put/remove, so a repair round costs O(|dirty| + |repaired
-rows|), not O(|table|) per changed table.
+eq-sorted column).  The hash indexes — the same ones query plans read —
+are maintained incrementally by the table on every put/remove, so a
+repair round costs O(|dirty| + |repaired rows|), not O(|table|) per
+changed table.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _repair_table(egraph: "EGraph", table: Table, dirty: Set[int]) -> int:
     # The index probes above are done for this round, and the writes below
     # only read rows (never indexes), so the remove/re-insert churn of the
     # repair loop batches its index maintenance: a key whose canonical form
-    # is itself costs one net trie/index update instead of two, and keys
+    # is itself costs one net index update instead of two, and keys
     # merged several times in one round settle once.  Tiny rounds (a
     # handful of stale keys, the common shape under one-union-at-a-time
     # rebuilds) skip the batch — its flush setup would cost more than the

@@ -10,7 +10,7 @@ One engine iteration has three phases, mirroring Figure 9 of the paper:
    ``since`` in the search functions) and deduplicating the union of the
    results; a match made entirely of old rows was already found in an
    earlier iteration.  A delta run whose atom has *zero* new rows since the
-   watermark is skipped outright, before any trie or index work.
+   watermark is skipped outright, before any index work.
 2. **Apply** every match's actions (``repro.engine.actions``).  The global
    timestamp is bumped first, so rows written in this phase are visible as
    "new" to every rule's next search.
@@ -28,7 +28,7 @@ tuples directly, and the apply phase fires each rule's precompiled action
 program — with every table's index maintenance batched until the phase
 ends, since nothing reads the indexes while actions run.  The scheduler
 prepares no indexes itself: a search asks its tables for the hash indexes
-or tries it needs, and each is built on that first request.
+it needs, and each is built on that first request.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class Scheduler:
 
         # Phase 2: apply.  Bump the timestamp so writes from this iteration
         # are the next iteration's delta.  No search touches the indexes
-        # until the next phase, so every table defers its hash-index and
-        # trie maintenance and flushes one net update per written key.
+        # until the next phase, so every table defers its index
+        # maintenance and flushes one net update per written key.
         egraph.timestamp += 1
         start = time.perf_counter()
         for table in egraph.tables.values():

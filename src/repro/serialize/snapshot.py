@@ -14,7 +14,7 @@ A snapshot is a single JSON document capturing *everything* an
   watermarks, and rulesets in declaration order,
 * the scheduler epoch: current timestamp and update counter.
 
-Derived state — hash indexes, column tries, compiled executors, merge-fn
+Derived state — hash indexes, compiled executors, merge-fn
 caches, the push/pop stack — is deliberately *not* serialized; the engine
 rebuilds all of it lazily on first use, so a loaded engine is exactly as
 warm as the database itself.

@@ -49,10 +49,11 @@ raise :class:`~repro.session.errors.ProgramError` naming the op index
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..core.schema import RunReport
-from ..core.terms import Term, TermApp, TermLit, TermVar
+from ..core.terms import Term, TermApp, TermLit, TermVar, term_depth
 from ..core.values import Value
 from ..engine.actions import Action, Delete, Expr, Let, Set, Union
 from ..engine.errors import CheckError, EGraphError
@@ -334,7 +335,17 @@ def _op_check(ctx: _Ctx, op: Dict[str, Json]) -> Json:
 
 def _op_extract(ctx: _Ctx, op: Dict[str, Json]) -> Json:
     cost, best = ctx.engine.extract_with_cost(_term(ctx, op["term"]))
-    return {"cost": cost, "term": format_term(best), "encoded": encode_term(best)}
+    try:
+        encoded = encode_term(best)
+        # The response carries ``encoded`` as JSON, and ``json.dumps``
+        # refuses nesting past the recursion limit just as encoding does.
+        json.dumps(encoded)
+    except RecursionError:
+        raise ProgramError(
+            f"the extracted term is {term_depth(best)} levels deep, too deep "
+            f"for the JSON wire form; /egg prints it"
+        ) from None
+    return {"cost": cost, "term": format_term(best), "encoded": encoded}
 
 
 def _op_explain(ctx: _Ctx, op: Dict[str, Json]) -> Json:

@@ -1,11 +1,12 @@
 """Shared fixtures.
 
-The engine reads each query's join executor off the shape of its body
-(``repro.core.compile.compile_query``).  :func:`forced_executor` overrides
-that reading by patching ``is_acyclic`` — ``True`` forces index-nested-loop
-join, ``False`` generic join — and clears the process-wide plan cache on
-entry and exit, so no plan compiled under the other reading survives.
-The ``executor`` fixture runs a test once per executor through it.
+The engine reads each query's plan shape off its body
+(``repro.core.compile.CompiledQuery`` calls ``is_acyclic``).
+:func:`forced_executor` overrides that reading by patching ``is_acyclic``
+— ``True`` forces the index-nested-loop shape, ``False`` generic join —
+and clears the process-wide plan cache on entry and exit, so no plan
+compiled under the other reading survives.  The ``executor`` fixture runs
+a test once per shape through it.
 """
 
 from contextlib import contextmanager

@@ -95,7 +95,8 @@ def test_run_workload_document_schema():
         assert entry["saturated"] is True
         assert entry["table_rows"]["path"] == 15  # closure of a 6-chain
         stats = entry["run_s_stats"]
-        assert stats["min"] <= stats["median"] <= stats["max"]
+        assert list(stats) == ["min", "q1", "median", "q3", "max"]
+        assert stats["min"] <= stats["q1"] <= stats["median"] <= stats["q3"] <= stats["max"]
         assert stats["median"] in entry["runs_s"]  # an actually measured run
         assert entry["run_s"] == stats["median"]
     assert "comparison" not in document
@@ -263,6 +264,27 @@ def test_compare_skips_on_param_change_and_tolerates_v1(tmp_path, capsys):
     path.write_text(json.dumps(document))
     assert compare_main([str(fresh), "--against", str(committed)]) == 1
     assert "refresh the committed BENCH" in capsys.readouterr().out
+
+
+def test_run_s_stats_quartiles_and_readers_of_files_without_them(tmp_path):
+    from repro.bench.compare import main as compare_main
+    from repro.bench.runner import _run_s_stats
+
+    assert _run_s_stats([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0
+    }
+    assert _run_s_stats([0.5]) == {
+        "min": 0.5, "q1": 0.5, "median": 0.5, "q3": 0.5, "max": 0.5
+    }
+    # Committed files written before the quartiles still compare: the gate
+    # reads the median alone.
+    committed, fresh = _gate_documents(tmp_path)
+    path = committed / "BENCH_tc_chain.json"
+    document = json.loads(path.read_text())
+    for entry in document["variants"].values():
+        del entry["run_s_stats"]["q1"], entry["run_s_stats"]["q3"]
+    path.write_text(json.dumps(document))
+    assert compare_main([str(fresh), "--against", str(committed)]) == 0
 
 
 def test_compare_fails_when_committed_variant_goes_missing(tmp_path, capsys):

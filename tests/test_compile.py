@@ -436,13 +436,13 @@ def test_batch_insert_then_remove_is_a_net_noop():
 )
 def test_batched_and_unbatched_tables_agree(ops):
     """The same op sequence on a batched and an unbatched table must leave
-    identical rows, hash indexes, and trie contents."""
+    identical rows and hash indexes."""
     decl = FunctionDecl(name="f", arg_sorts=(I64,), out_sort=I64)
     batched, plain = Table(decl), Table(decl)
     for table in (batched, plain):
         table.index((0,))
         table.index((1,))
-        table.trie((0, 1))
+        table.index((0, 1))
     batched.begin_batch()
     for op, a, value, ts in ops:
         key = (i64(a),)
@@ -458,7 +458,7 @@ def test_batched_and_unbatched_tables_agree(ops):
     assert dict(batched.data.items()) == dict(plain.data.items())
     assert batched.index((0,)) == plain.index((0,))
     assert batched.index((1,)) == plain.index((1,))
-    assert batched.trie((0, 1)).root == plain.trie((0, 1)).root
+    assert batched.index((0, 1)) == plain.index((0, 1))
     assert sorted(batched.new_keys(0)) == sorted(plain.new_keys(0))
 
 

@@ -498,3 +498,41 @@ def test_a_deep_term_extracts_over_http():
         assert status == 200 and body["lines"][-1] == CHAIN_LINE
     finally:
         live.stop()
+
+
+def test_a_deep_program_extract_answers_a_typed_422_over_http():
+    """The JSON ``extract`` op carries the term's encoded form, which JSON
+    cannot nest 3,000 levels deep: the op answers 422 naming the depth and
+    rolls the batch back, and a shallow extract answers as before."""
+    setup = CHAIN_PROGRAM.rsplit("(extract", 1)[0]
+    live = LiveServer()
+    try:
+        _, body = live.request("POST", "/sessions", {})
+        sid = body["session"]["id"]
+        status, _body = live.request("POST", f"/sessions/{sid}/egg", {"program": setup})
+        assert status == 200
+        deep = {"op": "extract", "term": ["a", "num", [["l", ["i64", CHAIN]]]]}
+        status, body = live.request(
+            "POST",
+            f"/sessions/{sid}/program",
+            {"ops": [{"op": "add", "term": ["a", "num", [["l", ["i64", 7000]]]]}, deep]},
+        )
+        assert status == 422 and body["ok"] is False
+        assert f"op 1 (extract): the extracted term is {CHAIN + 1} levels deep" in body["error"]
+        # Rolled back: the add before the failing op left nothing behind.
+        check = {"op": "check", "facts": [["a", "num", [["l", ["i64", 7000]]]]]}
+        shallow = {"op": "extract", "term": ["a", "num", [["l", ["i64", 2]]]]}
+        status, body = live.request(
+            "POST", f"/sessions/{sid}/program", {"ops": [check, shallow]}
+        )
+        assert status == 200
+        assert body["results"] == [
+            {"ok": False, "count": 0},
+            {
+                "cost": 3,
+                "term": "(S (S (Z)))",
+                "encoded": ["a", "S", [["a", "S", [["a", "Z", []]]]]],
+            },
+        ]
+    finally:
+        live.stop()

@@ -1,10 +1,9 @@
 """Atoms whose key columns are all bound are answered by one row-dict probe.
 
-The index-nested-loop executor (the compiled ``_IndexedStep``) skips hash
-indexes when every argument of an atom is a constant or already bound: the
-row is fetched by key and its output checked.  Answers must not change
-under either executor, and a ground ``check`` on a fresh fork must build no
-index at all.
+A plan node whose cover has every argument constant or already bound
+skips hash indexes: the row is fetched by key and its output checked.
+Answers must not change under either plan shape, and a ground ``check``
+on a fresh fork must build no index at all.
 """
 
 import pytest

@@ -1,18 +1,17 @@
-"""Index lifecycle invariants (core/index.py, core/database.py).
+"""Hash-index lifecycle invariants (core/database.py).
 
-A table builds a :class:`TrieIndex` the way it builds a hash index: from
-the current rows on first request, then keeps it exact on every write and
-drops it when a restore or bulk load installs different rows.  The
-load-bearing property: through arbitrary interleavings of insert /
-overwrite / delete / batch / union / rebuild / push / pop / fork / load,
-every built trie equals one built fresh from the table's rows.  Directed
-cases pin the mechanics, including copy-on-write snapshots; a hypothesis
-property drives random op sequences; engine-level cases cover unions,
-rebuilding and snapshot restore through the real write paths, and pin
-why maintenance stays: a large table written every iteration is built
-into each trie once, not once per search.  Their rule bodies are acyclic,
-which the engine runs on index-nested-loop join; the ``generic_join``
-fixture forces generic join so that the searches read tries.
+A table builds a hash index per column group from the current rows on
+first request, keeps it exact on every write, and drops it when a restore
+or bulk load installs different rows.  The load-bearing property: through
+arbitrary interleavings of insert / overwrite / delete / batch / union /
+rebuild / push / pop / fork / load, every built index equals one built
+fresh from the table's rows.  Directed cases pin the mechanics, including
+copy-on-write snapshots; a hypothesis property drives random op
+sequences; engine-level cases cover unions, rebuilding and snapshot
+restore through the real write paths, and pin why maintenance stays: a
+large table written every iteration is indexed once, not once per
+search.  Their rule bodies are acyclic; the ``generic_join`` fixture
+forces the cyclic plan shape, whose searches read more column groups.
 """
 
 import random
@@ -20,8 +19,9 @@ from collections import Counter
 
 import pytest
 
+from repro.core.compile import CompiledQuery, assign_slots, structural_var_order
+from repro.core.builtins import default_registry
 from repro.core.database import Table
-from repro.core.index import AtomIndexSpec, TrieIndex, descend_constants, plan_query
 from repro.core.query import Query, QVar, TableAtom
 from repro.core.schema import FunctionDecl
 from repro.core.terms import App, V
@@ -37,81 +37,44 @@ def key(*nums):
     return tuple(i64(n) for n in nums)
 
 
-def fresh_trie(table, order):
-    """Reference semantics: a trie built from scratch over the live rows."""
-    return TrieIndex(order, table.tuples()).root
+def fresh_index(table, columns):
+    """Reference semantics: a hash index built from scratch over the rows."""
+    fresh = {}
+    for k, value in ((k, row.value) for k, row in table.data.items()):
+        proj = tuple(value if col == table.arity else k[col] for col in columns)
+        fresh.setdefault(proj, set()).add(k)
+    return fresh
 
 
-def assert_tries_exact(table):
-    """Every trie the table has built equals one built fresh from its rows."""
-    for order in list(table._tries):
-        assert table.trie(order).root == fresh_trie(table, order)
-
-
-# ---------------------------------------------------------------------------
-# Directed TrieIndex cases
-# ---------------------------------------------------------------------------
+def assert_indexes_exact(table):
+    """Every index the table has built equals one built fresh from its rows."""
+    for columns in list(table._indexes):
+        built = table.index(columns)
+        assert all(built.values())  # no empty entry survives a removal
+        assert {proj: set(keys) for proj, keys in built.items()} == fresh_index(
+            table, columns
+        )
 
 
 def make_table(name="f", arity=2, out="i64"):
     return Table(FunctionDecl(name, tuple("i64" for _ in range(arity)), out))
 
 
-def test_trie_insert_remove_prunes_empty_nodes():
-    trie = TrieIndex((0, 1, 2))
-    trie.insert(key(1, 2, 10))
-    trie.insert(key(1, 3, 10))
-    assert trie.root == {i64(1): {i64(2): {i64(10): True}, i64(3): {i64(10): True}}}
-    trie.remove(key(1, 2, 10))
-    assert trie.root == {i64(1): {i64(3): {i64(10): True}}}
-    trie.remove(key(1, 3, 10))
-    assert trie.root == {}
-
-
-def test_trie_follows_value_changes_and_ignores_restamps():
-    table = make_table()
-    trie = table.trie((0, 1, 2))
-    table.put(key(1, 2), i64(10), 0)
-    table.put(key(3, 4), i64(30), 1)
-    # An overwrite moves the row: its old value leaves the trie.
-    table.put(key(1, 2), i64(20), 2)
-    expected = {
-        i64(1): {i64(2): {i64(20): True}},
-        i64(3): {i64(4): {i64(30): True}},
-    }
-    assert trie.root == expected
-    # A restamp (same value, later timestamp) is invisible to the trie,
-    # but the write log still reports it as new.
-    table.put(key(3, 4), i64(30), 5)
-    assert table.trie((0, 1, 2)) is trie and trie.root == expected
-    assert table.new_keys(5) == [key(3, 4)]
-
-
-def test_trie_builds_from_existing_rows_on_first_request():
+def test_restore_and_load_rows_drop_the_indexes_of_changed_rows():
     table = make_table()
     table.put(key(1, 2), UNIT_VALUE, 0)
-    assert not table._tries
-    trie = table.trie((0, 1, 2))
-    assert trie.root == fresh_trie(table, (0, 1, 2))
-    assert table.trie((0, 1, 2)) is trie
-    assert list(table._tries) == [(0, 1, 2)]
-
-
-def test_restore_and_load_rows_drop_the_tries_of_changed_rows():
-    table = make_table()
-    table.put(key(1, 2), UNIT_VALUE, 0)
-    trie = table.trie((0, 1, 2))
+    index = table.index((0, 1))
     snapshot = table.snapshot()
     table.restore(snapshot)  # nothing written since the capture: kept
-    assert table._tries[(0, 1, 2)] is trie
+    assert table._indexes[(0, 1)] is index
     table.put(key(3, 4), UNIT_VALUE, 1)
     table.remove(key(1, 2))
     table.restore(snapshot)
-    assert not table._tries
-    assert table.trie((0, 1, 2)).root == {i64(1): {i64(2): {UNIT_VALUE: True}}}
+    assert not table._indexes
+    assert table.index((0, 1)) == {key(1, 2): {key(1, 2): None}}
     table.load_rows([(key(5, 6), UNIT_VALUE, 0)])
-    assert not table._tries
-    assert table.trie((1, 0, 2)).root == {i64(6): {i64(5): {UNIT_VALUE: True}}}
+    assert not table._indexes
+    assert table.index((1, 0)) == {key(6, 5): {key(5, 6): None}}
 
 
 def rows_of(data):
@@ -141,7 +104,7 @@ def test_restoring_one_capture_twice_after_writes_on_both_sides_of_a_fork():
     parent = make_table()
     for n in range(4):
         parent.put(key(n, n), i64(n), n)
-    parent.trie((0, 1, 2))
+    parent.index((0, 1, 2))
     capture = parent.snapshot()
     expected = rows_of(parent.data)
     child = make_table()
@@ -159,20 +122,10 @@ def test_restoring_one_capture_twice_after_writes_on_both_sides_of_a_fork():
         table.put(key(7, 7), i64(7), 7)  # dirty it again before the next round
     assert rows_of(capture[0]) == expected
     parent.restore(capture)
-    assert parent.trie((0, 1, 2)).root == fresh_trie(parent, (0, 1, 2))
+    assert_indexes_exact(parent)
     assert {proj: set(keys) for proj, keys in parent.index((1,)).items()} == {
         (i64(n),): {key(n, n)} for n in range(4)
     }
-
-
-def test_descend_constants_views():
-    trie = TrieIndex((0, 1, 2), [key(1, 2, 10)])
-    node = descend_constants(trie.root, (i64(1),))
-    assert node == {i64(2): {i64(10): True}}
-    assert descend_constants(trie.root, (i64(9),)) is None
-    # Fully-constant atoms yield a non-empty marker, or None when absent.
-    assert descend_constants(trie.root, (i64(1), i64(2), i64(10)))
-    assert descend_constants(trie.root, (i64(1), i64(2), i64(99))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +141,50 @@ def test_plan_query_is_structural_and_deterministic():
             TableAtom("edge", (y, z), QVar("o2")),
         ]
     )
-    plan = plan_query(query)
-    # y occurs twice -> first; ties broken by first occurrence.
-    assert plan.var_order == ("y", "x", "o1", "z", "o2")
-    assert plan.specs[0] == AtomIndexSpec(order=(1, 0, 2), const_values=(), var_names=("y", "x", "o1"))
-    assert plan.specs[1] == AtomIndexSpec(order=(0, 1, 2), const_values=(), var_names=("y", "z", "o2"))
-    assert plan_query(query) == plan  # same structure, same plan
+    # y is held by two atoms -> first; ties broken by first occurrence.
+    assert structural_var_order(query.atoms) == ["y", "x", "o1", "z", "o2"]
+    slot_of, names = assign_slots(query)
+    with forced_executor("generic"):
+        plans = [
+            CompiledQuery(query, slot_of, len(names), default_registry())
+            for _ in range(2)
+        ]
+    small = {name: make_table(name, 2, "Unit") for name in ("path", "edge")}
+    large = {name: make_table(name, 2, "Unit") for name in ("path", "edge")}
+    for n in range(50):
+        large["path"].put(key(n, n + 1), UNIT_VALUE, 0)
+    for executor, tables in zip(plans, (small, large)):
+        executor.search(tables, None, 0, lambda match: None)
+        executor.search(tables, 1, 0, lambda match: None)
 
+    def roles(executor):
+        """Per plan, per node: (atom, role) for the picked or fixed cover
+        and each probe."""
+        return {
+            plan: [
+                [(a.func, "either") for a in accesses]
+                if cover is None
+                else [(cover.func, "cover")] + [(a.func, "probe") for a in probes]
+                for cover, probes, accesses, _others in nodes
+            ]
+            for plan, nodes in executor._plans.items()
+        }
 
-def test_plan_atom_constants_first_and_repeated_vars_fall_back():
-    x = QVar("x")
-    query = Query(atoms=[TableAtom("edge", (i64(7), x), QVar("o"))])
-    plan = plan_query(query)
-    assert plan.specs[0].order == (0, 1, 2)
-    assert plan.specs[0].const_values == (i64(7),)
-    # Repeated variable: no index spec, the ad-hoc path handles equality.
-    loop = Query(atoms=[TableAtom("edge", (x, x), QVar("o"))])
-    assert plan_query(loop).specs[0] is None
+    # The same structure gives the same plans, whatever the table sizes.
+    assert roles(plans[0]) == roles(plans[1])
+    # One node per variable (the lonely outputs o1 and o2 bind with their
+    # atom's last variable): y, covered by whichever atom has fewer
+    # candidates, then x from path and z from edge under the bound y.
+    assert roles(plans[0])[(None, None)] == [
+        [("path", "either"), ("edge", "either")],
+        [("path", "cover")],
+        [("edge", "cover")],
+    ]
+    # A delta atom is the first node: edge's new rows, probing path on y.
+    assert roles(plans[0])[(1, None)] == [
+        [("edge", "cover"), ("path", "probe")],
+        [("path", "cover")],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +217,25 @@ def tc_engine():
     return egraph
 
 
-def holds_tries(egraph):
-    return any(table._tries for table in egraph.tables.values())
+def built(egraph):
+    """The column groups each table has indexed."""
+    return {name: sorted(t._indexes) for name, t in egraph.tables.items() if t._indexes}
 
 
 def assert_all_indexes_match(egraph):
     for table in egraph.tables.values():
-        assert_tries_exact(table)
+        assert_indexes_exact(table)
 
 
 def test_first_generic_search_builds_planned_orderings(generic_join):
     egraph = tc_engine()
     egraph.add(App("edge", 1, 2))
-    assert not holds_tries(egraph)  # adding a rule builds nothing
-    egraph.run(1)
-    assert (0, 1, 2) in egraph.tables["edge"]._tries
-    assert (1, 0, 2) in egraph.tables["path"]._tries
+    assert not built(egraph)  # adding a rule builds nothing
+    egraph.run(2)
+    # ``base`` reads every edge row; ``step`` binds y first, from the
+    # distinct values of path's column 1 or edge's column 0 (or from the
+    # delta), and probes the other atom on that column.
+    assert built(egraph) == {"edge": [(0,)], "path": [(1,)]}
 
 
 def test_indexes_survive_run_union_rebuild_pushpop_interleaving(generic_join):
@@ -268,7 +251,7 @@ def test_indexes_survive_run_union_rebuild_pushpop_interleaving(generic_join):
     egraph.run(10)
     assert_all_indexes_match(egraph)
     egraph.pop()
-    # Tables written since the push dropped their tries; the next search
+    # Tables written since the push dropped their indexes; the next search
     # rebuilds them from the restored rows.
     assert_all_indexes_match(egraph)
     assert len(egraph.tables["edge"]) == 3
@@ -288,10 +271,12 @@ def test_indexes_follow_canonicalization_during_rebuild(generic_join):
     a = egraph.add(App("F", App("Leaf", 1)))
     b = egraph.add(App("F", App("Leaf", 2)))
     egraph.run(1)
-    assert holds_tries(egraph)
+    for table in egraph.tables.values():
+        for columns in [(0,), (1,), (0, 1)]:
+            table.index(columns)
     assert_all_indexes_match(egraph)
     # Union the leaves: rebuild rewrites F-rows to canonical ids; the
-    # maintained tries must track every remove/re-insert it performs.
+    # maintained indexes must track every remove/re-insert it performs.
     egraph.union(App("Leaf", 1), App("Leaf", 2))
     egraph.rebuild()
     assert egraph.canonicalize(a) == egraph.canonicalize(b)
@@ -300,7 +285,13 @@ def test_indexes_follow_canonicalization_during_rebuild(generic_join):
     assert_all_indexes_match(egraph)
 
 
-def test_generic_and_indexed_agree_and_only_generic_builds_tries():
+BUILT_BY_TC = {
+    "indexed": {"edge": [(0,)]},
+    "generic": {"edge": [(0,)], "path": [(0,), (1,)]},
+}
+
+
+def test_generic_and_indexed_agree_and_build_only_what_they_read():
     results = {}
     for name in EXECUTORS:
         with forced_executor(name):
@@ -310,30 +301,43 @@ def test_generic_and_indexed_agree_and_only_generic_builds_tries():
             egraph.run(12)
             assert egraph.check(App("path", 1, 4)) == 1
             assert len(egraph.query(App("path", V("a"), V("b")))) == 12
-        # Each executor builds only the kind of index its searches read.
-        assert holds_tries(egraph) == (name == "generic")
+        # Either shape joins path and edge on y alone, and rebuilding
+        # builds nothing more.  Index-nested-loop never reads path by y:
+        # path is the empty table on the first search and the delta atom on
+        # every later one.  Generic join binds the one-off query of every
+        # path row one variable at a time, x first, so it reads path by x.
+        assert built(egraph) == BUILT_BY_TC[name]
+        assert_all_indexes_match(egraph)
         results[name] = sorted(
             (k[0].data, k[1].data) for k, _v in egraph.table_rows("path")
         )
     assert results["generic"] == results["indexed"]
 
 
-def test_fresh_fork_holds_no_trie_until_its_first_generic_search(generic_join):
+def test_fresh_fork_holds_no_index_until_its_first_generic_search(generic_join):
     parent = tc_engine()
     for a, b in [(1, 2), (2, 3)]:
         parent.add(App("edge", a, b))
     parent.run(5)
-    parent_tries = {name: dict(t._tries) for name, t in parent.tables.items()}
+    parent_indexes = {
+        name: {cols: dict(index) for cols, index in t._indexes.items()}
+        for name, t in parent.tables.items()
+    }
     fork = parent.fork()
-    assert not holds_tries(fork)
+    assert not built(fork)
     assert fork.query(App("edge", V("x"), V("y")))
-    assert list(fork.tables["edge"]._tries) == [(0, 1, 2)]
+    # Generic join binds x from the distinct values of edge's column 0.
+    assert built(fork) == {"edge": [(0,)]}
     fork.add(App("edge", 3, 4))
     fork.run(5)
     assert fork.check(App("path", 1, 4)) == 1
+    assert built(fork) == {"edge": [(0,)], "path": [(1,)]}
     assert_all_indexes_match(fork)
-    # The parent's tries are its own: untouched by the fork's writes.
-    assert {name: dict(t._tries) for name, t in parent.tables.items()} == parent_tries
+    # The parent's indexes are its own: untouched by the fork's writes.
+    assert {
+        name: {cols: dict(index) for cols, index in t._indexes.items()}
+        for name, t in parent.tables.items()
+    } == parent_indexes
     assert_all_indexes_match(parent)
 
 
@@ -377,18 +381,18 @@ def reference_delta_matches(egraph, rule):
     }
 
 
-def test_small_delta_run_builds_each_trie_once_from_all_rows(monkeypatch, generic_join):
+def test_small_delta_run_builds_each_index_once_from_all_rows(monkeypatch, generic_join):
     builds = Counter()
     build_sizes = {}
-    real_trie = Table.trie
+    real_index = Table.index
 
-    def counting_trie(table, order):
-        if order not in table._tries:
-            builds[table.decl.name, order] += 1
-            build_sizes[table.decl.name, order] = len(table)
-        return real_trie(table, order)
+    def counting_index(table, columns):
+        if columns not in table._indexes:
+            builds[table.decl.name, columns] += 1
+            build_sizes[table.decl.name, columns] = len(table)
+        return real_index(table, columns)
 
-    monkeypatch.setattr(Table, "trie", counting_trie)
+    monkeypatch.setattr(Table, "index", counting_index)
     egraph = small_delta_engine(2_500)
     big = egraph.tables["big"]
     assert len(big) >= 10_000
@@ -403,9 +407,8 @@ def test_small_delta_run_builds_each_trie_once_from_all_rows(monkeypatch, generi
         report = egraph.run(1)
         assert not report.saturated and len(big) > before  # written every iteration
     # ``big`` joined ``reach``'s small delta on every iteration, yet each
-    # (table, ordering) pair was built from all rows exactly once.
-    big_trie = ("big", plan_query(step.query).specs[1].order)
-    assert builds[big_trie] == 1 and build_sizes[big_trie] >= 10_000
+    # (table, column group) pair was built from all rows exactly once.
+    assert builds[("big", (0,))] == 1 and build_sizes[("big", (0,))] >= 10_000
     assert set(builds.values()) == {1}
     assert_all_indexes_match(egraph)
 
@@ -417,7 +420,7 @@ def test_small_delta_run_builds_each_trie_once_from_all_rows(monkeypatch, generi
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-ORDERS = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
+GROUPS = [(0,), (2,), (0, 1), (1, 2), (0, 1, 2)]
 OPS = ["put", "remove", "batch", "snapshot", "restore", "fork", "load_rows"]
 
 
@@ -440,10 +443,9 @@ def op_sequences(draw):
 
 
 def warm(table):
-    """Request every trie ordering and a hash index (no-ops once built)."""
-    for order in ORDERS:
-        table.trie(order)
-    table.index((0,))
+    """Request every index in ``GROUPS`` (no-ops once built)."""
+    for columns in GROUPS:
+        table.index(columns)
     return table
 
 
@@ -499,7 +501,7 @@ def test_random_op_interleavings_keep_indexes_exact(ops):
             ] + [(k, i64(salt + 5), timestamp)]
             table.load_rows(entries)
             models[side] = model = {k: (v, ts) for k, v, ts in entries}
-        assert_tries_exact(table)
+        assert_indexes_exact(table)
         warm(table)  # rebuilds whatever a restore or load dropped
     for table, model in zip(tables, models):
         assert list(table.data) == list(model)
@@ -508,9 +510,9 @@ def test_random_op_interleavings_keep_indexes_exact(ops):
             delta = table.new_keys(since)
             assert len(delta) == len(set(delta))
             assert set(delta) == {k for k, (_v, ts) in model.items() if ts >= since}
-        assert sorted(table._tries) == sorted(ORDERS)
-        assert_tries_exact(table)
-        # The maintained hash index must agree with a from-scratch grouping.
+        assert sorted(table._indexes) == sorted(GROUPS)
+        assert_indexes_exact(table)
+        # The maintained hash index must agree with a grouping of the model.
         expected = {}
         for k in model:
             expected.setdefault((k[0],), set()).add(k)

@@ -1,12 +1,13 @@
-"""Each query picks its join from the shape of its body.
+"""Each query picks its plan shape from its body.
 
 ``is_acyclic`` runs a GYO reduction over the table atoms' variables;
-``compile_query`` gives α-acyclic bodies the index-nested-loop executor and
-cyclic ones generic join.  Pinned here: the reduction on hand-picked
-shapes, the executor every rule and query of the committed corpus gets
-(examples, golden programs, bench workloads, the served benchmark's
-program), the cyclic shapes as rules and as one-off queries, and which
-tables end up holding tries.
+``CompiledQuery`` binds one atom per node for α-acyclic bodies
+(index-nested-loop join) and one variable per node for cyclic ones
+(generic join).  Pinned here: the reduction on hand-picked shapes, the
+shape every rule and query of the committed corpus gets (examples, golden
+programs, bench workloads, the served benchmark's program), the cyclic
+shapes as rules and as one-off queries, and which hash indexes each
+search builds.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.bench.workloads import default_workloads
-from repro.core.compile import CompiledGenericQuery, CompiledIndexedQuery, is_acyclic
+from repro.core.compile import CompiledQuery, is_acyclic
 from repro.core.terms import App, V
 from repro.engine import EGraph, Rule, eq
 from repro.engine import compilecache
@@ -68,16 +69,16 @@ def test_cyclic_shapes(shape):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """Every executor the plan cache or a one-off query compiles."""
+    """The shape of every plan the plan cache or a one-off query compiles:
+    ``(query, acyclic)`` pairs."""
     seen = []
-    real = compilecache.compile_query
 
     def recording(query, *args):
-        executor = real(query, *args)
-        seen.append((repr(query), type(executor)))
+        executor = CompiledQuery(query, *args)
+        seen.append((repr(query), executor.acyclic))
         return executor
 
-    monkeypatch.setattr(compilecache, "compile_query", recording)
+    monkeypatch.setattr(compilecache, "CompiledQuery", recording)
     return seen
 
 
@@ -113,7 +114,7 @@ def test_every_committed_rule_and_query_runs_index_nested_loop(compiled):
         workload.run(egraph)
         _compile_rules(egraph)
     assert len(compiled) > 50
-    generic = [query for query, kind in compiled if kind is not CompiledIndexedQuery]
+    generic = [query for query, acyclic in compiled if not acyclic]
     assert generic == []
 
 
@@ -122,7 +123,7 @@ def test_the_triangle_workload_runs_generic_join(compiled):
     egraph = EGraph()
     workload.setup(egraph)
     workload.run(egraph)
-    assert {kind for _query, kind in compiled} == {CompiledGenericQuery}
+    assert {acyclic for _query, acyclic in compiled} == {False}
 
 
 CYCLIC_PROGRAM = """
@@ -145,20 +146,26 @@ def test_cyclic_shapes_get_generic_join_as_rules_and_queries(shape, compiled):
         Rule(facts=CYCLIC[shape], actions=[Expr(App("hit", shape))], name=shape)
     )
     exec_ = egraph.rule_exec(egraph.rules[shape])
-    assert isinstance(exec_.query_exec, CompiledGenericQuery)
+    assert not exec_.query_exec.acyclic
     egraph.run(2)
     assert egraph.query(*CYCLIC[shape])
     # The rule's plan, then the one-off query's.
-    assert [kind for _query, kind in compiled] == [CompiledGenericQuery] * 2
+    assert [acyclic for _query, acyclic in compiled] == [False] * 2
     assert egraph.check(App("hit", shape)) == 1
 
 
-def test_acyclic_rules_build_no_trie_and_a_cyclic_rule_only_its_own():
+def built(egraph):
+    """The column groups each table has indexed."""
+    return {name: sorted(t._indexes) for name, t in egraph.tables.items() if t._indexes}
+
+
+def test_each_search_builds_only_the_indexes_its_plan_reads():
     path = ROOT / "tests" / "golden" / "path.egg"
     evaluator = Evaluator()
     evaluator.run_program(path.read_text(), str(path))
     assert evaluator.egraph.rules
-    assert not any(table._tries for table in evaluator.egraph.tables.values())
+    # Extending a path probes edge by its source; nothing else is indexed.
+    assert built(evaluator.egraph) == {"edge": [(0,)]}
 
     egraph = EGraph()
     egraph.relation("edge", ("i64", "i64"))
@@ -183,5 +190,7 @@ def test_acyclic_rules_build_no_trie_and_a_cyclic_rule_only_its_own():
     egraph.run(10)
     assert egraph.check(App("tri", 1, 2, 3)) == 1
     assert len(egraph.tables["path"]) == 6
-    holders = {name for name, table in egraph.tables.items() if table._tries}
-    assert holders == {"edge"}
+    # The triangle binds x from the distinct sources of edge, then y and z
+    # from the edges out of a bound node, and probes the last edge by key:
+    # the same single-column index the acyclic step reads.
+    assert built(egraph) == {"edge": [(0,)]}

@@ -1,56 +1,51 @@
-"""Every compiled join executor must agree with the naive oracle in
+"""The join executor must agree with the naive oracle in
 ``tests/reference.py`` — hand-picked queries and random fuzz.
 
-The executors are built directly, whatever the shape of the query, so
-each runs every query here, cyclic or not.  Three configurations are
-checked: the index-nested-loop executor, the
-generic-join executor on tables that hold no trie yet (the search builds
-each one from the rows), and the generic-join executor on tables whose
-tries were requested before any row arrived, so every row reached them by
-incremental maintenance.  Under both generic configurations the delta atom
-and atoms with a repeated variable get a trie built per search.
+Both plan shapes are forced through ``tests/conftest.py``'s
+``forced_executor``, whatever the shape of the query, so each runs every
+query here, cyclic or not.  Four configurations are checked: each shape
+on tables that hold no index yet (the search builds what it asks for),
+and each shape on tables whose every column-group index was requested
+before any row arrived, so every row reached them by incremental
+maintenance.
 """
+
+from itertools import combinations
 
 import pytest
 
 from repro.core.builtins import default_registry
-from repro.core.compile import CompiledGenericQuery, CompiledIndexedQuery, assign_slots
+from repro.core.compile import CompiledQuery, assign_slots
 from repro.core.database import Table
-from repro.core.index import plan_query
 from repro.core.query import PrimAtom, Query, QVar, TableAtom
 from repro.core.schema import FunctionDecl
 from repro.core.values import I64, UNIT, UNIT_VALUE, i64
 
+from .conftest import forced_executor
 from .reference import evaluate
 
 
-def _run(executor, tables, registry, query, delta_atom, since):
+def _run(shape, tables, registry, query, delta_atom, since):
     slot_of, names = assign_slots(query)
     out = []
-    executor(query, slot_of, len(names), registry).search(
-        tables, delta_atom, since, out.append
-    )
+    with forced_executor(shape):
+        executor = CompiledQuery(query, slot_of, len(names), registry)
+    assert executor.acyclic == (shape == "indexed")
+    executor.search(tables, delta_atom, since, out.append)
     return [dict(zip(names, match)) for match in out]
 
 
-def search_indexed(tables, registry, query, delta_atom=None, since=0):
-    return _run(CompiledIndexedQuery, tables, registry, query, delta_atom, since)
-
-
-def search_generic(tables, registry, query, delta_atom=None, since=0):
-    """Generic join on tables holding no trie: the search builds them."""
-    return _run(CompiledGenericQuery, tables, registry, query, delta_atom, since)
-
-
-def search_generic_tries(tables, registry, query, delta_atom=None, since=0):
-    """Generic join over tries warmed through ``Table.trie`` on empty
-    copies of ``tables``.  Every row reaches them by maintenance, beside
-    writes maintenance must take back out: a ghost row put then removed,
-    and a stale i64 output overwritten."""
+def warmed(tables):
+    """Empty copies of ``tables`` with every column-group index requested.
+    Every row reaches them by maintenance, beside writes maintenance must
+    take back out: a ghost row put then removed, and a stale i64 output
+    overwritten."""
     copies = {name: Table(table.decl) for name, table in tables.items()}
-    for atom, spec in zip(query.atoms, plan_query(query).specs):
-        if spec is not None and atom.func in copies:
-            copies[atom.func].trie(spec.order)
+    for copy in copies.values():
+        columns = range(copy.arity + 1)
+        for size in range(1, len(columns) + 1):
+            for group in combinations(columns, size):
+                copy.index(group)
     for name, table in tables.items():
         copy = copies[name]
         for key, value, timestamp in table.rows():
@@ -60,10 +55,28 @@ def search_generic_tries(tables, registry, query, delta_atom=None, since=0):
             if value.sort == I64:
                 copy.put(key, i64(value.data + 10), timestamp)
             copy.put(key, value, timestamp)
-    return _run(CompiledGenericQuery, copies, registry, query, delta_atom, since)
+    return copies
 
 
-SEARCHES = [search_indexed, search_generic, search_generic_tries]
+def search_indexed(tables, registry, query, delta_atom=None, since=0):
+    """One atom per node, on tables holding no index."""
+    return _run("indexed", tables, registry, query, delta_atom, since)
+
+
+def search_generic(tables, registry, query, delta_atom=None, since=0):
+    """One variable per node, on tables holding no index."""
+    return _run("generic", tables, registry, query, delta_atom, since)
+
+
+def search_indexed_warm(tables, registry, query, delta_atom=None, since=0):
+    return _run("indexed", warmed(tables), registry, query, delta_atom, since)
+
+
+def search_generic_warm(tables, registry, query, delta_atom=None, since=0):
+    return _run("generic", warmed(tables), registry, query, delta_atom, since)
+
+
+SEARCHES = [search_indexed, search_generic, search_indexed_warm, search_generic_warm]
 
 
 def edge_table(edges, timestamps=None):
@@ -129,7 +142,7 @@ def test_strategies_agree_exactly():
         solutions(agrees_with_oracle(search, {"edge": edge_table(EDGES)}, triangle_query()))
         for search in SEARCHES
     ]
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results)
     assert len(results[0]) == len(set(results[0]))  # no duplicate matches
 
 
@@ -188,6 +201,22 @@ def test_repeated_variables_and_constants(search):
 
 
 @pytest.mark.parametrize("search", SEARCHES)
+def test_arity_zero_atoms_cover_and_probe(search):
+    """An arity-0 atom's key is the empty tuple: it covers a full search
+    (one dict probe), and a delta search over ``r`` probes it by that key."""
+    r = Table(FunctionDecl("r", (I64,), UNIT))
+    r.put((i64(2),), UNIT_VALUE, 1)
+    r.put((i64(3),), UNIT_VALUE, 0)
+    f = Table(FunctionDecl("f", (), I64))
+    f.put((), i64(2), 0)
+    x = QVar("x")
+    query = Query(atoms=[TableAtom("r", (x,), QVar("_o")), TableAtom("f", (), x)])
+    for delta, since in [(None, 0), (0, 1), (1, 0)]:
+        matches = agrees_with_oracle(search, {"r": r, "f": f}, query, delta, since)
+        assert [m["x"] for m in matches] == [i64(2)]
+
+
+@pytest.mark.parametrize("search", SEARCHES)
 def test_missing_table_means_no_matches(search):
     assert agrees_with_oracle(search, {}, triangle_query()) == []
 
@@ -217,10 +246,12 @@ def _column(draw, fresh):
 
 @st.composite
 def database_and_query(draw):
-    """Rows for a relation ``r`` and an i64-valued function ``f``, plus a
-    random query over them: constants and repeated variables in any column,
-    primitive guards and binders, and an optional delta atom."""
-    arities = {name: draw(st.integers(1, 2)) for name in ("r", "f")}
+    """Rows for a relation ``r`` and an i64-valued function ``f`` of arity
+    0 to 3, plus a random query over them: constants and repeated variables
+    in any column, primitive guards and binders, and an optional delta
+    atom.  Ternary atoms let a cyclic plan's cover leave columns open
+    under a bound prefix, which deduplicates its bindings."""
+    arities = {name: draw(st.integers(0, 3)) for name in ("r", "f")}
     rows = {}
     for name, arity in arities.items():
         keys = draw(
@@ -278,7 +309,7 @@ def build_tables(rows):
 def test_fuzz_random_queries_strategies_agree(case):
     rows, query, delta, since = case
     for search in SEARCHES:
-        # A fresh database per configuration: tries built by one search
+        # A fresh database per configuration: indexes built by one search
         # must not leak into the next configuration.
         matches = _canonical(
             agrees_with_oracle(search, build_tables(rows), query, delta, since)
