@@ -96,12 +96,6 @@ def test_index_is_maintained_incrementally_on_write():
     by_out = out_table.index((1,))
     out_table.put(key(1), i64(20), 1)
     assert (i64(10),) not in by_out and set(by_out[(i64(20),)]) == {key(1)}
-    # A restamp (same value, later timestamp) leaves every index alone, but
-    # the write log still reports it as new.
-    before = {proj: dict(keys) for proj, keys in by_out.items()}
-    out_table.put(key(1), i64(20), 5)
-    assert out_table.index((1,)) is by_out and by_out == before
-    assert out_table.new_keys(5) == [key(1)]
 
 
 def test_rows_and_tuples_iteration():

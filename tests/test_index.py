@@ -60,6 +60,61 @@ def make_table(name="f", arity=2, out="i64"):
     return Table(FunctionDecl(name, tuple("i64" for _ in range(arity)), out))
 
 
+# ---------------------------------------------------------------------------
+# Directed lifecycle cases.  The first three keep the names they had when a
+# table also kept tries; the hash index now carries the same contract.
+# ---------------------------------------------------------------------------
+
+
+def test_trie_insert_remove_prunes_empty_nodes():
+    table = make_table()
+    by_first = table.index((0,))
+    table.put(key(1, 2), i64(10), 0)
+    table.put(key(1, 3), i64(10), 1)
+    assert by_first == {key(1): {key(1, 2): None, key(1, 3): None}}
+    table.remove(key(1, 2))
+    assert by_first == {key(1): {key(1, 3): None}}
+    table.remove(key(1, 3))
+    assert by_first == {}
+    # A batched removal prunes the emptied entry when the batch flushes.
+    table.put(key(4, 5), i64(40), 2)
+    table.begin_batch()
+    table.remove(key(4, 5))
+    table.end_batch()
+    assert by_first == {}
+
+
+def test_trie_follows_value_changes_and_ignores_restamps():
+    table = make_table()
+    full = table.index((0, 1, 2))
+    table.put(key(1, 2), i64(10), 0)
+    table.put(key(3, 4), i64(30), 1)
+    # An overwrite moves the row: its old value leaves the index.
+    table.put(key(1, 2), i64(20), 2)
+    expected = {
+        (i64(1), i64(2), i64(20)): {key(1, 2): None},
+        (i64(3), i64(4), i64(30)): {key(3, 4): None},
+    }
+    assert full == expected
+    # A restamp (same value, later timestamp) is invisible to the index,
+    # but the write log still reports it as new.
+    table.put(key(3, 4), i64(30), 5)
+    assert table.index((0, 1, 2)) is full and full == expected
+    assert table.new_keys(5) == [key(3, 4)]
+
+
+def test_trie_builds_from_existing_rows_on_first_request():
+    table = make_table()
+    table.put(key(1, 2), UNIT_VALUE, 0)
+    assert not table._indexes
+    full = table.index((0, 1, 2))
+    assert {proj: set(keys) for proj, keys in full.items()} == fresh_index(
+        table, (0, 1, 2)
+    )
+    assert table.index((0, 1, 2)) is full
+    assert list(table._indexes) == [(0, 1, 2)]
+
+
 def test_restore_and_load_rows_drop_the_indexes_of_changed_rows():
     table = make_table()
     table.put(key(1, 2), UNIT_VALUE, 0)
