@@ -10,7 +10,9 @@ The registry supports overloading: a primitive name maps to a list of
 candidate implementations tried in order; the first one that accepts the
 argument sorts and succeeds wins.  A primitive returns ``None`` to signal
 "not applicable / fails", which makes the enclosing query match fail (or the
-enclosing action raise).
+enclosing action raise).  An arithmetic or value error inside a primitive
+body, and an ``i64`` result outside the 64-bit range [-2^63, 2^63), count as
+that primitive failing too.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .values import (
 )
 
 SET = "Set"
+
+#: The range of the paper's 64-bit ``i64``; results outside it fail.
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass
@@ -112,6 +117,8 @@ class PrimitiveRegistry:
             if prim.accepts(args):
                 try:
                     result = prim.fn(*args)
+                except (ArithmeticError, ValueError):
+                    continue  # overflow, division by zero, a bad conversion
                 except TypeError:
                     # A sort-agnostic overload declares no arity; skip it as
                     # "not applicable" when the call itself cannot bind, but
@@ -119,7 +126,7 @@ class PrimitiveRegistry:
                     if prim.arg_sorts is None and not _binds(prim.fn, len(args)):
                         continue
                     raise
-                if result is not None:
+                if result is not None and (result[0] != I64 or I64_MIN <= result[1] <= I64_MAX):
                     return result
         return None
 
@@ -162,13 +169,16 @@ def _binop(op: Callable[[object, object], object]):
     def impl(a: Value, b: Value) -> Optional[Value]:
         if a.sort != b.sort:
             return None
-        try:
-            result = op(_numeric(a), _numeric(b))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-        return _wrap_like(a.sort, result)
+        return _wrap_like(a.sort, op(_numeric(a), _numeric(b)))
 
     return impl
+
+
+def _shift_left(x: int, count: int) -> int:
+    # Refused before shifting: ``1 << 2**40`` would ask for a 2^40-bit int.
+    if not 0 <= count < 64:
+        raise ValueError(f"shift count {count} outside 0-63")
+    return x << count
 
 
 def _cmp(op: Callable[[object, object], bool]):
@@ -198,7 +208,7 @@ def default_registry() -> PrimitiveRegistry:
     reg.register("/", _binop(lambda x, y: x / y), (F64, F64), F64)
     reg.register("/", _binop(lambda x, y: x / y), (RATIONAL, RATIONAL), RATIONAL)
     reg.register("%", _binop(lambda x, y: x % y), (I64, I64), I64)
-    reg.register("<<", _binop(lambda x, y: x << y), (I64, I64), I64)
+    reg.register("<<", _binop(_shift_left), (I64, I64), I64)
     reg.register(">>", _binop(lambda x, y: x >> y), (I64, I64), I64)
 
     for sort in numeric_sorts:

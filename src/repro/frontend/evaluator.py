@@ -1,12 +1,19 @@
-"""Evaluator: lowers parsed .egg commands onto the :class:`EGraph` engine.
+"""Evaluator: runs `.egg` commands, from either surface, against the engine.
 
 The evaluator owns the pieces the parser cannot know: the engine's
 declarations.  It lowers raw s-expressions into engine terms (checking
 arities, sorts, and symbol bindings with source locations), maintains the
-global ``let`` environment, mirrors the engine's ``push``/``pop`` stack for
-that environment, and captures the deterministic output lines that
-``run``/``check``/``extract``/``query-extract`` produce — the text the
-golden-file tests diff.
+global ``let`` environment and mirrors the engine's ``push``/``pop`` stack
+for it.
+
+One loop, :meth:`Evaluator.run_commands`, runs the commands of both wire
+surfaces: the ``.egg`` text that :meth:`run_program` parses and the JSON
+ops that :mod:`repro.session.program` decodes into the same command
+records.  For each command it trips the surface's fault point, applies the
+batch's run budgets, lowers every term through the one lowering below and
+hands the handler's result back to the surface, which formats it: ``.egg``
+prints lines (:meth:`_lines`, the text the golden-file tests diff), JSON
+encodes result objects.
 
 Binding rules, following the paper's language:
 
@@ -19,7 +26,8 @@ Binding rules, following the paper's language:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.schema import RunReport
 from ..core.terms import Term, TermApp, TermLit, TermVar
@@ -42,8 +50,10 @@ from ..serialize import SnapshotError
 from ..serialize.encode import decode_values, encode_values
 from ..testing.faults import trip
 from .parser import (
+    AddCmd,
     CheckCmd,
     Command,
+    ConstructorCmd,
     DatatypeCmd,
     DeleteCmd,
     ExplainCmd,
@@ -62,6 +72,7 @@ from .parser import (
     SaveCmd,
     SetCmd,
     SortCmd,
+    StatsCmd,
     TopAction,
     UnionCmd,
     parse_program,
@@ -71,11 +82,12 @@ from .sexp import Literal, Sexp, SList, Symbol
 
 
 class Evaluator:
-    """Executes parsed .egg commands against one engine instance.
+    """Executes `.egg` commands against one engine instance.
 
     With ``file_io=False`` the ``(save)`` and ``(load)`` commands raise
     :class:`FileAccessError` instead of touching the file system; the
-    session service creates every evaluator that way.
+    session service creates every evaluator that way.  ``sink`` receives
+    each printed line as soon as its command has run (the CLI prints it).
     """
 
     def __init__(
@@ -89,13 +101,7 @@ class Evaluator:
         self.file_io = file_io
         self.globals: Dict[str, Value] = {}
         self._globals_stack: List[Dict[str, Value]] = []
-        #: Ambient run budgets applied to ``run``/``run-schedule`` commands
-        #: that do not carry their own — the session service sets these to
-        #: enforce per-request deadlines over the ``.egg`` surface.
-        self.default_deadline_s: Optional[float] = None
-        self.default_max_nodes: Optional[int] = None
         self._sink = sink
-        self.lines: List[str] = []
         self.filename: Optional[str] = None
         #: Accumulated statistics over every run/run-schedule this session
         #: executed (per-rule match counts, phase timings); see ``--stats``.
@@ -103,37 +109,74 @@ class Evaluator:
 
     # -- entry points ---------------------------------------------------------
 
-    def run_program(self, text: str, filename: Optional[str] = None) -> List[str]:
-        """Parse and execute a whole program; returns the lines *it* printed.
+    def run_program(
+        self,
+        text: str,
+        filename: Optional[str] = None,
+        *,
+        deadline_ms: Optional[int] = None,
+        max_nodes: Optional[int] = None,
+    ) -> List[str]:
+        """Parse and execute a whole program; returns the lines it printed.
 
-        ``self.lines`` keeps accumulating across calls (the full session
-        transcript); the return value covers only this call.
+        ``deadline_ms``/``max_nodes`` are the batch's budgets for every
+        ``run``/``run-schedule`` that carries none of its own.
         """
         previous = self.filename
         self.filename = filename
-        start = len(self.lines)
+        lines: List[str] = []
         try:
-            for index, command in enumerate(parse_program(text, filename)):
-                trip("egg.command", tag=index)
-                self.execute(command)
+            commands = parse_program(text, filename)
+            for command, result in self.run_commands(
+                commands, "egg.command", deadline_ms=deadline_ms, max_nodes=max_nodes
+            ):
+                for line in self._lines(command, result):
+                    lines.append(line)
+                    if self._sink is not None:
+                        self._sink(line)
         finally:
             self.filename = previous
-        return self.lines[start:]
+        return lines
 
-    def execute(self, command: Command) -> None:
-        """Execute one command, translating engine errors to located ones."""
-        handler = self._HANDLERS.get(type(command))
-        if handler is None:  # pragma: no cover - parser emits only known commands
-            raise EvalError(f"no handler for {command!r}", command.loc, self.filename)
-        try:
-            handler(self, command)
-        except EGraphError as error:
-            raise EvalError(str(error), command.loc, self.filename) from error
+    def run_commands(
+        self,
+        items: Iterable[Any],
+        fault: str,
+        decode: Optional[Callable[[Any], Command]] = None,
+        *,
+        deadline_ms: Optional[int] = None,
+        max_nodes: Optional[int] = None,
+    ) -> Iterator[Tuple[Command, Any]]:
+        """Run commands in order, yielding each with its handler's result.
 
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-        if self._sink is not None:
-            self._sink(line)
+        Before item *k* the fault point ``fault`` trips with tag *k*;
+        ``decode`` (the JSON surface's) turns each item into its command
+        record inside the loop, so a malformed item *k* leaves the commands
+        before it applied.  ``deadline_ms``/``max_nodes`` are the batch's
+        budgets for every ``run``/``run-schedule`` without its own.  Engine
+        errors, and input nested too deeply for the interpreter's stack,
+        surface as :class:`EvalError` located at the command.
+        """
+        for index, item in enumerate(items):
+            trip(fault, tag=index)
+            command = item
+            try:
+                if decode is not None:
+                    command = decode(item)
+                if isinstance(command, (RunCmd, RunScheduleCmd)):
+                    command = replace(
+                        command,
+                        deadline_ms=_first(command.deadline_ms, deadline_ms),
+                        max_nodes=_first(command.max_nodes, max_nodes),
+                    )
+                result = self._HANDLERS[type(command)](self, command)
+            except EGraphError as error:
+                raise EvalError(str(error), command.loc, self.filename) from error
+            except RecursionError:
+                raise EvalError(
+                    "input nested too deeply", getattr(command, "loc", None), self.filename
+                ) from None
+            yield command, result
 
     # -- lowering: s-expressions to terms -------------------------------------
 
@@ -160,8 +203,13 @@ class Evaluator:
             raise EvalError(
                 f"expected a function application, got {sexp}", sexp.loc, self.filename
             )
-        head = sexp.items[0]
-        args = tuple(self._lower_expr(item, pattern) for item in sexp.items[1:])
+        items = sexp.items
+        head = items[0]
+        # Literal arguments, the bulk of ground facts, skip the dispatch.
+        args = [
+            TermLit(item.value) if type(item) is Literal else self._lower_expr(item, pattern)
+            for item in items[1:]
+        ]
         decl = self.egraph.decls.get(head.name)
         if decl is not None:
             if len(args) != decl.arity:
@@ -170,13 +218,13 @@ class Evaluator:
                     sexp.loc,
                     self.filename,
                 )
-            args = tuple(
-                self._coerce(arg, sort, sexp.items[1 + index])
-                for index, (arg, sort) in enumerate(zip(args, decl.arg_sorts))
-            )
-            return TermApp(head.name, args)
+            for index, sort in enumerate(decl.arg_sorts):
+                arg = args[index]
+                if isinstance(arg, TermLit) and arg.value[0] != sort:
+                    args[index] = self._coerce(arg, sort, items[1 + index])
+            return TermApp(head.name, tuple(args))
         if head.name in self.egraph.registry:
-            return TermApp(head.name, args)
+            return TermApp(head.name, tuple(args))
         raise UnboundSymbolError(
             f"unknown function or primitive {head.name!r}", head.loc, self.filename
         )
@@ -359,14 +407,17 @@ class Evaluator:
     def _do_datatype(self, cmd: DatatypeCmd) -> None:
         self.egraph.declare_sort(cmd.name)
         for variant in cmd.variants:
-            self._check_sorts(variant.arg_sorts, variant.loc)
-            self.egraph.constructor(
-                variant.name, variant.arg_sorts, cmd.name, cost=variant.cost
-            )
+            self._do_constructor(variant)
+
+    def _do_constructor(self, cmd: ConstructorCmd) -> None:
+        self._check_sorts(cmd.arg_sorts, cmd.loc)
+        self.egraph.constructor(cmd.name, cmd.arg_sorts, cmd.out_sort, cost=cmd.cost)
 
     def _do_function(self, cmd: FunctionCmd) -> None:
         self._check_sorts(cmd.arg_sorts + (cmd.out_sort,), cmd.loc)
-        merge = self._lower_merge(cmd.merge) if cmd.merge is not None else None
+        merge = cmd.merge
+        if isinstance(merge, Sexp):
+            merge = self._lower_merge(merge)
         default = (
             self._lower_default(cmd.default, cmd.out_sort)
             if cmd.default is not None
@@ -386,21 +437,21 @@ class Evaluator:
         self._check_sorts(cmd.arg_sorts, cmd.loc)
         self.egraph.relation(cmd.name, cmd.arg_sorts)
 
-    def _do_rule(self, cmd: RuleCmd) -> None:
+    def _do_rule(self, cmd: RuleCmd) -> str:
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
         actions = [self._lower_action(sexp, pattern=True) for sexp in cmd.actions]
-        self.egraph.add_rule(
+        return self.egraph.add_rule(
             Rule(facts=facts, actions=actions, name=cmd.name, ruleset=cmd.ruleset)
         )
 
-    def _do_rewrite(self, cmd: RewriteCmd) -> None:
+    def _do_rewrite(self, cmd: RewriteCmd) -> List[str]:
         lhs = self._lower_expr(cmd.lhs, pattern=True)
         rhs = self._lower_expr(cmd.rhs, pattern=True)
         conditions = [self._lower_fact(sexp) for sexp in cmd.conditions]
         self._check_rewrite_vars(lhs, rhs, conditions, cmd)
         if cmd.bidirectional:
             self._check_rewrite_vars(rhs, lhs, conditions, cmd)
-        self.egraph.add_rewrite(
+        return self.egraph.add_rewrite(
             lhs,
             rhs,
             conditions=conditions,
@@ -427,16 +478,20 @@ class Evaluator:
                 self.filename,
             )
 
-    def _do_let(self, cmd: LetCmd) -> None:
+    def _do_let(self, cmd: LetCmd) -> Value:
         if cmd.name in self.globals:
             raise EvalError(
                 f"global {cmd.name!r} is already bound", cmd.loc, self.filename
             )
         term = self._lower_expr(cmd.expr, pattern=False)
-        self.globals[cmd.name] = self.egraph.add(term)
+        self.globals[cmd.name] = value = self.egraph.add(term)
+        return value
 
-    def _do_union(self, cmd: UnionCmd) -> None:
-        self.egraph.union(
+    def _do_add(self, cmd: AddCmd) -> Value:
+        return self.egraph.add(self._lower_expr(cmd.expr, pattern=False))
+
+    def _do_union(self, cmd: UnionCmd) -> Value:
+        return self.egraph.union(
             self._lower_expr(cmd.lhs, pattern=False),
             self._lower_expr(cmd.rhs, pattern=False),
         )
@@ -462,46 +517,25 @@ class Evaluator:
         action = self._lower_action(cmd.sexp, pattern=False)
         run_actions(self.egraph, [action], {})
 
-    def _do_run(self, cmd: RunCmd) -> None:
+    def _do_run(self, cmd: RunCmd) -> RunReport:
         report = self.egraph.run(
             cmd.limit,
             ruleset=cmd.ruleset,
-            deadline_s=(
-                cmd.deadline_ms / 1000.0
-                if cmd.deadline_ms is not None
-                else self.default_deadline_s
-            ),
-            max_nodes=(
-                cmd.max_nodes if cmd.max_nodes is not None else self.default_max_nodes
-            ),
+            deadline_s=_seconds(cmd.deadline_ms),
+            max_nodes=cmd.max_nodes,
         )
         self.report.merge_with(report)
-        if report.stopped_reason:
-            status = f"stopped: {report.stopped_reason}"
-        elif report.saturated:
-            status = "saturated"
-        else:
-            status = "iteration limit"
-        self.emit(
-            f"run: {report.iterations} iteration(s), "
-            f"{report.num_matches} match(es), {status}"
-        )
+        return report
 
     # -- run-schedule ---------------------------------------------------------
 
-    def _do_run_schedule(self, cmd: RunScheduleCmd) -> None:
+    def _do_run_schedule(self, cmd: RunScheduleCmd) -> RunReport:
         schedules = tuple(self._lower_schedule(sexp) for sexp in cmd.schedules)
         report = self.egraph.run_schedule(
-            *schedules,
-            deadline_s=self.default_deadline_s,
-            max_nodes=self.default_max_nodes,
+            *schedules, deadline_s=_seconds(cmd.deadline_ms), max_nodes=cmd.max_nodes
         )
         self.report.merge_with(report)
-        status = "saturated" if report.saturated else "done"
-        self.emit(
-            f"run-schedule: {report.iterations} iteration(s), "
-            f"{report.num_matches} match(es), {status}"
-        )
+        return report
 
     def _lower_schedule(self, sexp: Sexp) -> Schedule:
         """Lower a schedule s-expression into engine combinators.
@@ -579,25 +613,21 @@ class Evaluator:
         if name not in self.egraph.rulesets:
             raise EvalError(f"unknown ruleset {name!r}", loc, self.filename)
 
-    def _do_check(self, cmd: CheckCmd) -> None:
+    def _do_check(self, cmd: CheckCmd) -> Tuple[int, List[Fact]]:
+        """The facts' match count, 0 when they fail, with the lowered facts."""
         self.egraph.rebuild()  # globals must be inlined at canonical ids
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
         try:
-            count = self.egraph.check(*facts)
+            return self.egraph.check(*facts), facts
         except CheckError:
-            rendered = " ".join(format_fact(fact) for fact in facts)
-            raise EvalError(
-                f"check failed: no matches for {rendered}", cmd.loc, self.filename
-            ) from None
-        self.emit(f"check: ok ({count} match(es))")
+            return 0, facts
 
-    def _do_extract(self, cmd: ExtractCmd) -> None:
+    def _do_extract(self, cmd: ExtractCmd) -> Tuple[int, Term]:
         self.egraph.rebuild()
-        term = self._lower_expr(cmd.expr, pattern=False)
-        cost, best = self.egraph.extract_with_cost(term)
-        self.emit(f"extract: {format_term(best)} (cost {cost})")
+        return self.egraph.extract_with_cost(self._lower_expr(cmd.expr, pattern=False))
 
-    def _do_query_extract(self, cmd: QueryExtractCmd) -> None:
+    def _do_query_extract(self, cmd: QueryExtractCmd) -> List[str]:
+        """``.egg`` only: returns its printed lines."""
         self.egraph.rebuild()
         expr = self._lower_expr(cmd.expr, pattern=True)
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
@@ -609,27 +639,19 @@ class Evaluator:
                 continue
             _cost, best = self.egraph.extract_with_cost(value)
             results.add(format_term(best))
-        self.emit(f"query-extract: {len(results)} result(s)")
-        for line in sorted(results):
-            self.emit(f"  {line}")
+        return [f"query-extract: {len(results)} result(s)"] + [
+            f"  {line}" for line in sorted(results)
+        ]
 
-    def _do_explain(self, cmd: ExplainCmd) -> None:
-        """Print the proof chain for ``(explain <e1> <e2>)``.
-
-        One line per step naming its justification (``rule <name>``,
-        ``congruence <func>``, or ``union``); terms hash-consed to the same
-        e-node print a zero-step reflexive chain.
-        """
+    def _do_explain(self, cmd: ExplainCmd) -> Tuple[Term, Term, Any]:
+        """The proof chain for ``(explain <e1> <e2>)``, with the two terms."""
         self.egraph.rebuild()
         lhs = self._lower_expr(cmd.lhs, pattern=False)
         rhs = self._lower_expr(cmd.rhs, pattern=False)
-        explanation = self.egraph.explain(lhs, rhs)
-        self.emit(
-            f"explain: {format_term(lhs)} = {format_term(rhs)}: "
-            f"{len(explanation.steps)} step(s)"
-        )
-        for index, step in enumerate(explanation.steps, start=1):
-            self.emit(f"  {index}. {step.justification.describe()}")
+        return lhs, rhs, self.egraph.explain(lhs, rhs)
+
+    def _do_stats(self, cmd: StatsCmd) -> Dict[str, object]:
+        return self.egraph.stats()
 
     def _do_push(self, cmd: PushCmd) -> None:
         for _ in range(cmd.count):
@@ -699,30 +721,67 @@ class Evaluator:
                 self.filename,
             )
 
-    def _do_save(self, cmd: SaveCmd) -> None:
+    def _do_save(self, cmd: SaveCmd) -> List[str]:
         self._refuse_file_io(cmd, "save")
         try:
             self.save_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:
             raise EvalError(f"save failed: {error}", cmd.loc, self.filename) from error
-        self.emit(f"save: {cmd.path}")
+        return [f"save: {cmd.path}"]
 
-    def _do_load(self, cmd: LoadCmd) -> None:
+    def _do_load(self, cmd: LoadCmd) -> List[str]:
         self._refuse_file_io(cmd, "load")
         try:
             self.load_snapshot(cmd.path)
         except (OSError, SnapshotError) as error:
             raise EvalError(f"load failed: {error}", cmd.loc, self.filename) from error
-        self.emit(f"load: {cmd.path}")
+        return [f"load: {cmd.path}"]
+
+    # -- `.egg` output --------------------------------------------------------
+
+    def _lines(self, cmd: Command, result: Any) -> List[str]:
+        """The lines ``.egg`` prints for one command's result."""
+        if isinstance(cmd, (RunCmd, RunScheduleCmd)):
+            counts = f"{result.iterations} iteration(s), {result.num_matches} match(es)"
+            if isinstance(cmd, RunScheduleCmd):
+                return [f"run-schedule: {counts}, {'saturated' if result.saturated else 'done'}"]
+            if result.stopped_reason:
+                return [f"run: {counts}, stopped: {result.stopped_reason}"]
+            return [f"run: {counts}, {'saturated' if result.saturated else 'iteration limit'}"]
+        if isinstance(cmd, CheckCmd):
+            count, facts = result
+            if not count:
+                rendered = " ".join(format_fact(fact) for fact in facts)
+                raise EvalError(
+                    f"check failed: no matches for {rendered}", cmd.loc, self.filename
+                )
+            return [f"check: ok ({count} match(es))"]
+        if isinstance(cmd, ExtractCmd):
+            return [f"extract: {format_term(result[1])} (cost {result[0]})"]
+        if isinstance(cmd, ExplainCmd):
+            # One line per step naming its justification (``rule <name>``,
+            # ``congruence <func>``, or ``union``); terms hash-consed to the
+            # same e-node print a zero-step reflexive chain.
+            lhs, rhs, explanation = result
+            steps = explanation.steps
+            return [f"explain: {format_term(lhs)} = {format_term(rhs)}: {len(steps)} step(s)"] + [
+                f"  {index}. {step.justification.describe()}"
+                for index, step in enumerate(steps, start=1)
+            ]
+        if isinstance(cmd, (QueryExtractCmd, SaveCmd, LoadCmd)):
+            return result
+        return []
 
     _HANDLERS = {
         SortCmd: _do_sort,
         DatatypeCmd: _do_datatype,
+        ConstructorCmd: _do_constructor,
         FunctionCmd: _do_function,
         RelationCmd: _do_relation,
         RuleCmd: _do_rule,
         RewriteCmd: _do_rewrite,
         LetCmd: _do_let,
+        AddCmd: _do_add,
         UnionCmd: _do_union,
         SetCmd: _do_set,
         DeleteCmd: _do_delete,
@@ -733,6 +792,7 @@ class Evaluator:
         ExtractCmd: _do_extract,
         QueryExtractCmd: _do_query_extract,
         ExplainCmd: _do_explain,
+        StatsCmd: _do_stats,
         PushCmd: _do_push,
         PopCmd: _do_pop,
         SaveCmd: _do_save,
@@ -743,3 +803,12 @@ class Evaluator:
 def run_program(text: str, filename: Optional[str] = None) -> List[str]:
     """Run one .egg program on a fresh engine; return its output lines."""
     return Evaluator().run_program(text, filename)
+
+
+def _first(own: Optional[int], batch: Optional[int]) -> Optional[int]:
+    """A command's own budget, else the batch's."""
+    return own if own is not None else batch
+
+
+def _seconds(milliseconds: Optional[int]) -> Optional[float]:
+    return milliseconds / 1000.0 if milliseconds is not None else None

@@ -12,7 +12,7 @@ facts like ``(edge 1 2)`` can be asserted directly, as in egglog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import Loc, ParseError
 from .sexp import Literal, Sexp, SList, Symbol, parse_sexps
@@ -20,9 +20,10 @@ from .sexp import Literal, Sexp, SList, Symbol, parse_sexps
 
 @dataclass(frozen=True)
 class Command:
-    """Base class for parsed commands; every command knows its location."""
+    """Base class for parsed commands; a command read from text knows its
+    location, one decoded from a JSON op has none."""
 
-    loc: Loc
+    loc: Optional[Loc]
 
 
 @dataclass(frozen=True)
@@ -31,27 +32,33 @@ class SortCmd(Command):
 
 
 @dataclass(frozen=True)
-class Variant:
-    """One constructor inside a ``datatype`` declaration."""
+class ConstructorCmd(Command):
+    """One constructor: a ``datatype`` variant, or a JSON ``constructor`` op."""
 
-    loc: Loc
     name: str
     arg_sorts: Tuple[str, ...]
+    out_sort: str
     cost: int = 1
 
 
 @dataclass(frozen=True)
 class DatatypeCmd(Command):
     name: str
-    variants: Tuple[Variant, ...]
+    variants: Tuple[ConstructorCmd, ...]
 
 
 @dataclass(frozen=True)
 class FunctionCmd(Command):
+    """``(function name (sorts) out ...)``.
+
+    ``merge`` is a ``:merge`` expression over ``old``/``new``, or the JSON
+    surface's merge name: ``"union"``, ``"error"`` or a binary primitive.
+    """
+
     name: str
     arg_sorts: Tuple[str, ...]
     out_sort: str
-    merge: Optional[Sexp] = None
+    merge: Union[Sexp, str, None] = None
     default: Optional[Sexp] = None
     cost: int = 1
     unextractable: bool = False
@@ -124,10 +131,13 @@ class RunScheduleCmd(Command):
 
     Schedules nest arbitrarily (``saturate``/``seq``/``repeat``/``run`` and
     bare ruleset names); lowering them needs the engine's rulesets, so the
-    parser keeps them raw and the evaluator interprets.
+    parser keeps them raw and the evaluator interprets.  The budgets span
+    the whole schedule, as :class:`RunCmd`'s span its run.
     """
 
     schedules: Tuple[Sexp, ...]
+    deadline_ms: Optional[int] = None
+    max_nodes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +186,18 @@ class LoadCmd(Command):
     """``(load "path")``: replace the session state with a snapshot."""
 
     path: str
+
+
+@dataclass(frozen=True)
+class AddCmd(Command):
+    """The JSON ``add`` op: insert a ground term and answer its value."""
+
+    expr: Sexp
+
+
+@dataclass(frozen=True)
+class StatsCmd(Command):
+    """The JSON ``stats`` op: the engine's size counters."""
 
 
 @dataclass(frozen=True)
@@ -358,10 +380,10 @@ class Parser:
         if not form.args:
             raise form.error("'datatype' expects a sort name and variants")
         name = self._symbol(form, form.args[0], "a sort name")
-        variants = tuple(self._parse_variant(form, sexp) for sexp in form.args[1:])
+        variants = tuple(self._parse_variant(form, sexp, name) for sexp in form.args[1:])
         return DatatypeCmd(form.loc, name, variants)
 
-    def _parse_variant(self, form: _Form, sexp: Sexp) -> Variant:
+    def _parse_variant(self, form: _Form, sexp: Sexp, sort: str) -> ConstructorCmd:
         call = self._call(form, sexp)
         name = call.items[0].name  # type: ignore[union-attr]
         arg_sorts: List[str] = []
@@ -378,7 +400,7 @@ class Parser:
                 continue
             arg_sorts.append(self._symbol(form, item, "a sort name"))
             index += 1
-        return Variant(call.loc, name, tuple(arg_sorts), cost)
+        return ConstructorCmd(call.loc, name, tuple(arg_sorts), sort, cost)
 
     def _parse_function(self, form: _Form) -> FunctionCmd:
         self._exact(form, 3, "a name, a sort list, and an output sort")

@@ -12,35 +12,46 @@ as delimiters match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.values import Value, boolean, f64, i64, string
 from .errors import Loc, ParseError
 
 
-@dataclass(frozen=True)
 class Sexp:
-    """Base class for s-expression nodes; every node knows its location."""
+    """Base class for s-expression nodes; a node read from text knows its
+    location, one decoded from a JSON term has none.
 
-    loc: Loc
+    Nodes are slotted objects that nothing mutates after construction: the
+    reader and the JSON decoder build one per token, and a frozen dataclass
+    costs three times as much to construct.
+    """
+
+    __slots__ = ("loc",)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
-@dataclass(frozen=True)
 class Symbol(Sexp):
     """A bare identifier: command names, function symbols, variables."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, loc: Optional[Loc], name: str) -> None:
+        self.loc, self.name = loc, name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Literal(Sexp):
     """A self-evaluating constant, already typed as a runtime Value."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, loc: Optional[Loc], value: Value) -> None:
+        self.loc, self.value = loc, value
 
     def __str__(self) -> str:
         # One source of truth for value rendering (escaping included); the
@@ -50,11 +61,13 @@ class Literal(Sexp):
         return format_value(self.value)
 
 
-@dataclass(frozen=True)
 class SList(Sexp):
     """A parenthesized list of sub-expressions."""
 
-    items: Tuple[Sexp, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, loc: Optional[Loc], items: Tuple[Sexp, ...]) -> None:
+        self.loc, self.items = loc, items
 
     def __str__(self) -> str:
         return "(" + " ".join(str(item) for item in self.items) + ")"
@@ -118,7 +131,11 @@ class _Reader:
             self.skip_blank()
             if self.peek() is None:
                 return out
-            out.append(self.read_one())
+            line, col = self.line, self.col
+            try:
+                out.append(self.read_one())
+            except RecursionError:
+                raise self.error("s-expression nested too deeply", Loc(line, col)) from None
 
     def read_one(self) -> Sexp:
         self.skip_blank()

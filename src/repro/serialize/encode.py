@@ -47,7 +47,8 @@ from .errors import SnapshotError, SnapshotFormatError
 Json = Any
 
 
-def _bad(what: str, obj: Json) -> SnapshotFormatError:
+def malformed(what: str, obj: Json) -> SnapshotFormatError:
+    """The error for a wire shape this codec cannot read."""
     rendered = repr(obj)
     if len(rendered) > 120:
         rendered = rendered[:117] + "..."
@@ -95,7 +96,7 @@ def _encode_payload(data: Any) -> Json:
 def decode_value(obj: Json) -> Value:
     """Decode a ``[sort, payload]`` pair back into a :class:`Value`."""
     if not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[0], str):
-        raise _bad("value", obj)
+        raise malformed("value", obj)
     sort, payload = obj
     return Value(sort, _decode_payload(payload))
 
@@ -114,18 +115,18 @@ def _decode_payload(payload: Json) -> Any:
                 return f64(float("nan")).data
             if special in ("inf", "-inf"):
                 return float(special)
-            raise _bad("float payload", payload)
+            raise malformed("float payload", payload)
         if "q" in payload:
             try:
                 return Fraction(payload["q"])
             except (ValueError, ZeroDivisionError, TypeError):
-                raise _bad("rational payload", payload) from None
+                raise malformed("rational payload", payload) from None
         if "s" in payload:
             items = payload["s"]
             if not isinstance(items, list):
-                raise _bad("set payload", payload)
+                raise malformed("set payload", payload)
             return frozenset(decode_value(item) for item in items)
-    raise _bad("value payload", payload)
+    raise malformed("value payload", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def encode_term(term: Term) -> Json:
 
 def decode_term(obj: Json) -> Term:
     if not isinstance(obj, list) or not obj:
-        raise _bad("term", obj)
+        raise malformed("term", obj)
     tag = obj[0]
     if tag == "v" and len(obj) == 2 and isinstance(obj[1], str):
         return TermVar(obj[1])
@@ -154,14 +155,14 @@ def decode_term(obj: Json) -> Term:
         return TermLit(decode_value(obj[1]))
     if tag == "a" and len(obj) == 3 and isinstance(obj[1], str) and isinstance(obj[2], list):
         return TermApp(obj[1], tuple(decode_term(arg) for arg in obj[2]))
-    raise _bad("term", obj)
+    raise malformed("term", obj)
 
 
 def decode_call(obj: Json) -> TermApp:
     """Decode a term that must be an application (set/delete targets)."""
     term = decode_term(obj)
     if not isinstance(term, TermApp):
-        raise _bad("call term", obj)
+        raise malformed("call term", obj)
     return term
 
 
@@ -178,12 +179,12 @@ def encode_arg(arg: Arg) -> Json:
 
 def decode_arg(obj: Json) -> Arg:
     if not isinstance(obj, list) or len(obj) != 2:
-        raise _bad("query argument", obj)
+        raise malformed("query argument", obj)
     if obj[0] == "v" and isinstance(obj[1], str):
         return QVar(obj[1])
     if obj[0] == "l":
         return decode_value(obj[1])
-    raise _bad("query argument", obj)
+    raise malformed("query argument", obj)
 
 
 def encode_query(query: Query) -> Json:
@@ -209,11 +210,11 @@ def encode_query(query: Query) -> Json:
 
 def decode_query(obj: Json) -> Query:
     if not isinstance(obj, dict):
-        raise _bad("query", obj)
+        raise malformed("query", obj)
     atoms: List[TableAtom] = []
     for atom in obj.get("atoms", ()):
         if not isinstance(atom, dict) or not isinstance(atom.get("func"), str):
-            raise _bad("table atom", atom)
+            raise malformed("table atom", atom)
         atoms.append(
             TableAtom(
                 atom["func"],
@@ -224,7 +225,7 @@ def decode_query(obj: Json) -> Query:
     prims: List[PrimAtom] = []
     for prim in obj.get("prims", ()):
         if not isinstance(prim, dict) or not isinstance(prim.get("op"), str):
-            raise _bad("primitive atom", prim)
+            raise malformed("primitive atom", prim)
         out = prim.get("out")
         prims.append(
             PrimAtom(
@@ -259,7 +260,7 @@ def encode_action(action: Action) -> Json:
 
 def decode_action(obj: Json) -> Action:
     if not isinstance(obj, list) or not obj:
-        raise _bad("action", obj)
+        raise malformed("action", obj)
     tag = obj[0]
     if tag == "let" and len(obj) == 3 and isinstance(obj[1], str):
         return Let(obj[1], decode_term(obj[2]))
@@ -273,7 +274,7 @@ def decode_action(obj: Json) -> Action:
         return Panic(obj[1])
     if tag == "expr" and len(obj) == 2:
         return Expr(decode_term(obj[1]))
-    raise _bad("action", obj)
+    raise malformed("action", obj)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,7 @@ def decode_justification(obj: Json) -> Optional[Justification]:
     if obj is None:
         return None
     if not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[1], str):
-        raise _bad("justification", obj)
+        raise malformed("justification", obj)
     kind, name = obj
     # Re-intern through the same caches live unions use, so a loaded
     # forest and freshly recorded edges share objects.
@@ -301,7 +302,7 @@ def decode_justification(obj: Json) -> Optional[Justification]:
         return congruence_justification(name)
     if kind == EXPLICIT_KIND:
         return Justification(EXPLICIT_KIND, name)
-    raise _bad("justification", obj)
+    raise malformed("justification", obj)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def encode_schedule(schedule: Schedule) -> Json:
 
 def decode_schedule(obj: Json) -> Schedule:
     if not isinstance(obj, list) or not obj:
-        raise _bad("schedule", obj)
+        raise malformed("schedule", obj)
     tag = obj[0]
     if tag == "run" and len(obj) == 3 and isinstance(obj[1], int) and isinstance(obj[2], str):
         return Run(obj[1], obj[2])
@@ -332,7 +333,7 @@ def decode_schedule(obj: Json) -> Schedule:
         return Seq(body) if tag == "seq" else Saturate(body)
     if tag == "repeat" and len(obj) == 3 and isinstance(obj[1], int) and isinstance(obj[2], list):
         return Repeat(obj[1], tuple(decode_schedule(s) for s in obj[2]))
-    raise _bad("schedule", obj)
+    raise malformed("schedule", obj)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +361,10 @@ def encode_values(values: Dict[str, Value]) -> Json:
 
 def decode_values(obj: Json, what: str) -> Dict[str, Value]:
     if not isinstance(obj, list):
-        raise _bad(what, obj)
+        raise malformed(what, obj)
     out: Dict[str, Value] = {}
     for pair in obj:
         if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise _bad(what, pair)
+            raise malformed(what, pair)
         out[pair[0]] = decode_value(pair[1])
     return out

@@ -161,7 +161,9 @@ class App:
             return {}
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # Bad UTF-8, bad JSON, an integer past the interpreter's digit
+            # limit, or nesting past its stack: whatever json.loads refuses.
             raise HttpError(400, f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")

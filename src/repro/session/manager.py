@@ -39,7 +39,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
 from ..core.values import Value
 from ..engine.compilecache import CACHE
@@ -58,6 +58,8 @@ from .errors import (
 )
 from .program import Json, run_ops
 from .store import CheckpointStore
+
+T = TypeVar("T")
 
 
 def _egg_globals(document: Dict[str, Any]) -> List[Any]:
@@ -178,19 +180,25 @@ class Session:
             self.evaluator.session_restore(frontend)
             raise
 
-    @contextmanager
-    def _budgets(self, deadline_ms: Optional[int], max_nodes: Optional[int]) -> Iterator[None]:
-        """Apply per-request default budgets to the ``.egg`` surface."""
-        evaluator = self.evaluator
-        evaluator.default_deadline_s = (
-            deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
-        evaluator.default_max_nodes = max_nodes
+    def _batch(self, atomic: bool, run: Callable[["Session"], T]) -> T:
+        """Run one batch on the live incarnation of this session.
+
+        The batch holds the session's mutex and runs as one transaction
+        (see :meth:`_transaction`); the live incarnation may be a restored
+        copy if this object was passivated since lookup (see
+        :meth:`_acquire_live`).  A failing ``.egg`` command surfaces as a
+        :class:`ProgramError` carrying its located message.
+        """
+        session = self._acquire_live()
         try:
-            yield
+            session.touch()
+            with session._transaction(atomic):
+                try:
+                    return run(session)
+                except FrontendError as error:
+                    raise ProgramError(str(error)) from error
         finally:
-            evaluator.default_deadline_s = None
-            evaluator.default_max_nodes = None
+            session.lock.release()
 
     def run_egg(
         self,
@@ -205,20 +213,17 @@ class Session:
         With ``atomic`` (the default) a failing command rolls the session
         back to its pre-batch state; ``deadline_ms``/``max_nodes`` are
         default budgets for ``run``/``run-schedule`` commands that carry
-        none of their own.  The batch runs on the live incarnation of the
-        session (see :meth:`_acquire_live`), which may be a restored copy
-        if this object was passivated since lookup.
+        none of their own.
         """
-        session = self._acquire_live()
-        try:
-            session.touch()
-            with session._transaction(atomic), session._budgets(deadline_ms, max_nodes):
-                try:
-                    return session.evaluator.run_program(text, f"<session {session.id}>")
-                except FrontendError as error:
-                    raise ProgramError(str(error)) from error
-        finally:
-            session.lock.release()
+        return self._batch(
+            atomic,
+            lambda session: session.evaluator.run_program(
+                text,
+                f"<session {session.id}>",
+                deadline_ms=deadline_ms,
+                max_nodes=max_nodes,
+            ),
+        )
 
     def run_program(
         self,
@@ -230,23 +235,17 @@ class Session:
     ) -> List[Json]:
         """Run a JSON-encoded program (see :mod:`repro.session.program`).
 
-        Same transactional semantics as :meth:`run_egg`: by default a
-        program failing at op *k* leaves the session byte-identical to its
-        pre-batch state instead of keeping ops ``1..k-1`` applied.
+        Same transactional semantics and budgets as :meth:`run_egg`: by
+        default a program failing at op *k* leaves the session
+        byte-identical to its pre-batch state instead of keeping ops
+        ``1..k-1`` applied.
         """
-        session = self._acquire_live()
-        try:
-            session.touch()
-            with session._transaction(atomic):
-                return run_ops(
-                    session.engine,
-                    ops,
-                    session.evaluator.globals,
-                    default_deadline_ms=deadline_ms,
-                    default_max_nodes=max_nodes,
-                )
-        finally:
-            session.lock.release()
+        return self._batch(
+            atomic,
+            lambda session: run_ops(
+                session.evaluator, ops, deadline_ms=deadline_ms, max_nodes=max_nodes
+            ),
+        )
 
     def info(self) -> Dict[str, Any]:
         now = time.monotonic()

@@ -1,98 +1,41 @@
-"""JSON-encoded session programs: the DSL surface of the wire protocol.
+"""JSON-encoded session programs: a second syntax for the `.egg` commands.
 
-A program is a JSON array of **ops** — each a ``{"op": ...}`` object — run
-in order against one session's engine.  Terms, values, and actions reuse the
-``repro.snapshot/v1`` wire shapes (:mod:`repro.serialize.encode`): a term is
-``["v", name]`` / ``["l", [sort, payload]]`` / ``["a", func, [args...]]``,
-an action is ``["let"|"union"|"set"|"delete"|"panic"|"expr", ...]``.  A fact
-is a term (a truthy pattern) or ``["=", term, term]`` (an equality fact).
-
-Ops::
-
-    {"op": "sort",        "name": s}
-    {"op": "relation",    "name": f, "args": [sorts...]}
-    {"op": "function",    "name": f, "args": [...], "out": s,
-                          "merge": "union"|"error"|<primitive>,   # optional
-                          "default": [sort, payload],             # optional
-                          "cost": n}                              # optional
-    {"op": "constructor", "name": f, "args": [...], "out": s, "cost": n}
-    {"op": "rule",        "facts": [...], "actions": [...],
-                          "name": s, "ruleset": s}                # both optional
-    {"op": "rewrite",     "lhs": t, "rhs": t, "conditions": [...],
-                          "name": s, "ruleset": s, "bidirectional": b}
-    {"op": "let",         "name": s, "term": t}
-    {"op": "add",         "term": t}
-    {"op": "union",       "lhs": t, "rhs": t}
-    {"op": "run",         "limit": n, "ruleset": s,
-                          "deadline_ms": n, "max_nodes": n}       # optional
-    {"op": "run-schedule","schedules": [sched...],
-                          "deadline_ms": n, "max_nodes": n}       # optional
-    {"op": "check",       "facts": [...]}
-    {"op": "extract",     "term": t}
-    {"op": "explain",     "lhs": t, "rhs": t}
-    {"op": "stats"}
-
-A schedule is ``["run", limit, ruleset?]``, ``["saturate", sched...]``,
-``["seq", sched...]``, or ``["repeat", n, sched...]``.
-
-Programs share the session's global ``let`` environment with the ``.egg``
-surface: a ``["v", name]`` naming a global is inlined as a literal wherever
-it appears (same binding rule the evaluator applies), and ``{"op": "let"}``
-adds a binding later ``.egg`` batches can see.
-
-Each op produces one JSON result object (in program order).  ``check``
-reports ``{"ok": false, "count": 0}`` instead of failing the program — a
-query API wants to *ask*, not crash — while malformed ops and engine errors
-raise :class:`~repro.session.errors.ProgramError` naming the op index
-(HTTP 422 at the server).
+A program is a JSON array of **ops**, each a ``{"op": ...}`` object
+(docs/SERVER.md § JSON programs lists them and their fields).  Each op
+decodes into the command record its `.egg` twin parses into
+(:mod:`repro.frontend.parser`), and each wire term into the s-expression
+its `.egg` spelling reads as: ``["v", name]`` is a symbol,
+``["l", [sort, payload]]`` a literal, ``["a", func, [args...]]`` a call.
+The session's :class:`~repro.frontend.evaluator.Evaluator` then runs both
+surfaces through one loop and one lowering, with the same checks, globals,
+budgets and fault points; this module only decodes ops and encodes their
+results.  ``check`` answers ``{"ok": false, "count": 0}`` instead of
+failing — a query API wants to *ask*, not crash — while malformed ops and
+failing commands raise :class:`~repro.session.errors.ProgramError` naming
+the op index (HTTP 422 at the server).
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.schema import RunReport
-from ..core.terms import Term, TermApp, TermLit, TermVar, term_depth
-from ..core.values import Value
-from ..engine.actions import Action, Delete, Expr, Let, Set, Union
-from ..engine.errors import CheckError, EGraphError
-from ..engine.rule import EqFact, Fact, Rule
-from ..engine.schedule import Repeat, Run, Saturate, Schedule, Seq
+from ..core.terms import term_depth
+from ..core.values import Value, f64, i64, string
+from ..frontend import parser as egg
+from ..frontend.errors import EvalError, FrontendError, ParseError
 from ..frontend.printer import format_term
+from ..frontend.sexp import Literal, Sexp, SList, Symbol
 from ..serialize import SnapshotError
-from ..serialize.encode import (
-    decode_action,
-    decode_term,
-    decode_value,
-    encode_term,
-    encode_value,
-)
-from ..testing.faults import trip
+from ..serialize.encode import decode_value, encode_term, encode_value, malformed
 from .errors import ProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..engine.egraph import EGraph
+    from ..frontend.evaluator import Evaluator
 
 Json = Any
-
-
-class _Ctx:
-    """One program run: the target engine plus the session's global env."""
-
-    __slots__ = ("engine", "env", "default_deadline_ms", "default_max_nodes")
-
-    def __init__(
-        self,
-        engine: "EGraph",
-        env: Dict[str, Value],
-        default_deadline_ms: Optional[int] = None,
-        default_max_nodes: Optional[int] = None,
-    ) -> None:
-        self.engine = engine
-        self.env = env
-        self.default_deadline_ms = default_deadline_ms
-        self.default_max_nodes = default_max_nodes
+Op = Dict[str, Json]
 
 
 def report_json(report: RunReport) -> Dict[str, Json]:
@@ -109,327 +52,322 @@ def report_json(report: RunReport) -> Dict[str, Json]:
     }
 
 
-def _str(op: Dict[str, Json], key: str, default: Optional[str] = None) -> str:
+# -- decoding: fields ------------------------------------------------------------
+
+
+def _str(op: Op, key: str, default: Optional[str] = None) -> str:
     value = op.get(key, default)
     if not isinstance(value, str):
-        raise ProgramError(f"field {key!r} must be a string, got {value!r}")
+        raise ParseError(f"field {key!r} must be a string, got {value!r}")
     return value
 
 
-def _opt_int(op: Dict[str, Json], key: str) -> Optional[int]:
+def _opt_str(op: Op, key: str) -> Optional[str]:
+    return None if op.get(key) is None else _str(op, key)
+
+
+def _opt_int(op: Op, key: str) -> Optional[int]:
     value = op.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ProgramError(f"field {key!r} must be a non-negative integer, got {value!r}")
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+        raise ParseError(f"field {key!r} must be a non-negative integer, got {value!r}")
     return value
 
 
-def _cost(op: Dict[str, Json]) -> int:
+def _cost(op: Op) -> int:
     """The optional ``cost`` field; the engine rejects values below 1."""
     cost = _opt_int(op, "cost")
     return 1 if cost is None else cost
 
 
-def _sort_list(op: Dict[str, Json], key: str) -> List[str]:
+def _sort_list(op: Op, key: str = "args") -> Tuple[str, ...]:
     value = op.get(key, [])
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ProgramError(f"field {key!r} must be a list of sort names, got {value!r}")
+        raise ParseError(f"field {key!r} must be a list of sort names, got {value!r}")
+    return tuple(value)
+
+
+def _list(op: Op, key: str, what: str) -> List[Json]:
+    value = op.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"field {key!r} must be {what}, got {value!r}")
     return value
 
 
-def _inline(term: Term, env: Dict[str, Value]) -> Term:
-    """Replace variables naming global bindings with literals (the .egg rule)."""
-    if isinstance(term, TermVar) and term.name in env:
-        return TermLit(env[term.name])
-    if isinstance(term, TermApp):
-        return TermApp(term.func, tuple(_inline(arg, env) for arg in term.args))
-    return term
+# -- decoding: wire shapes to `.egg` s-expressions --------------------------------
 
 
-def _inline_action(action: Action, env: Dict[str, Value]) -> Action:
-    if isinstance(action, Let):
-        return Let(action.name, _inline(action.expr, env))
-    if isinstance(action, Union):
-        return Union(_inline(action.lhs, env), _inline(action.rhs, env))
-    if isinstance(action, Set):
-        call = _inline(action.call, env)
-        assert isinstance(call, TermApp)
-        return Set(call, _inline(action.value, env))
-    if isinstance(action, Delete):
-        call = _inline(action.call, env)
-        assert isinstance(call, TermApp)
-        return Delete(call)
-    if isinstance(action, Expr):
-        return Expr(_inline(action.expr, env))
-    return action
+def _call(head: str, *items: Sexp) -> SList:
+    return SList(None, (Symbol(None, head), *items))
 
 
-def _term(ctx: _Ctx, obj: Json) -> Term:
-    return _inline(decode_term(obj), ctx.env)
+def _tagged(payload: Json, tag: str) -> bool:
+    return type(payload) is dict and payload.keys() == {tag}
 
 
-def _fact(ctx: _Ctx, obj: Json) -> Fact:
-    if isinstance(obj, list) and len(obj) == 3 and obj[0] == "=":
-        return EqFact(_term(ctx, obj[1]), _term(ctx, obj[2]))
-    return _term(ctx, obj)
+#: The payload shape of each primitive sort's wire literal.  Eq-sorts have
+#: no literals: an e-class id on the wire could name any class of any sort.
+_SHAPES: Dict[str, Callable[[Json], bool]] = {
+    "i64": lambda payload: type(payload) is int,
+    "f64": lambda payload: type(payload) in (int, float) or _tagged(payload, "f"),
+    "String": lambda payload: type(payload) is str,
+    "bool": lambda payload: type(payload) is bool,
+    "Rational": lambda payload: _tagged(payload, "q"),
+    "Unit": lambda payload: payload is None,
+    "Set": lambda payload: _tagged(payload, "s")
+    and all(item[0] in _SHAPES and _SHAPES[item[0]](item[1]) for item in payload["s"]),
+}
 
 
-def _facts(ctx: _Ctx, op: Dict[str, Json], key: str = "facts") -> List[Fact]:
-    value = op.get(key, [])
-    if not isinstance(value, list):
-        raise ProgramError(f"field {key!r} must be a list of facts, got {value!r}")
-    return [_fact(ctx, obj) for obj in value]
+#: Sorts whose payload is one JSON scalar, kept as is.
+_SCALARS = {"i64": int, "String": str, "bool": bool}
 
 
-def _schedule(obj: Json) -> Schedule:
+def _literal(obj: Json) -> Value:
+    """A wire literal ``[sort, payload]``, refused unless its sort is
+    primitive and its payload has that sort's shape."""
+    sort = obj[0] if type(obj) is list and len(obj) == 2 else None
+    if type(sort) is str and _SCALARS.get(sort) is type(obj[1]):
+        return Value(sort, obj[1])
+    value = decode_value(obj)  # a malformed pair or tagged payload raises here
+    shape = _SHAPES.get(value.sort)
+    if shape is None:
+        raise ParseError(
+            f"no literals of sort {value.sort!r}: only {', '.join(_SHAPES)} have them; "
+            f"e-class ids come only from terms and globals"
+        )
+    if not shape(obj[1]):
+        raise ParseError(f"malformed {value.sort} literal {obj[1]!r}")
+    # f64() collapses NaNs onto the engine's one NaN and -0.0 onto 0.0.
+    return f64(value.data) if type(value.data) is float else value
+
+
+def _sexp(obj: Json) -> Sexp:
+    """A wire term as the s-expression its `.egg` spelling reads as."""
+    if type(obj) is list and obj:
+        tag = obj[0]
+        if tag == "a" and len(obj) == 3 and type(obj[1]) is str and type(obj[2]) is list:
+            return SList(None, (Symbol(None, obj[1]), *map(_sexp, obj[2])))
+        if tag == "l" and len(obj) == 2:
+            return Literal(None, _literal(obj[1]))
+        if tag == "v" and len(obj) == 2 and type(obj[1]) is str:
+            return Symbol(None, obj[1])
+    raise malformed("term", obj)
+
+
+def _fact(obj: Json) -> Sexp:
+    if type(obj) is list and len(obj) == 3 and obj[0] == "=":
+        return _call("=", _sexp(obj[1]), _sexp(obj[2]))
+    return _sexp(obj)
+
+
+def _facts(op: Op, key: str = "facts") -> Tuple[Sexp, ...]:
+    return tuple(map(_fact, _list(op, key, "a list of facts")))
+
+
+def _action(obj: Json) -> Sexp:
+    if type(obj) is list and obj:
+        tag, size = obj[0], len(obj)
+        if tag == "let" and size == 3 and isinstance(obj[1], str):
+            return _call("let", Symbol(None, obj[1]), _sexp(obj[2]))
+        if tag in ("union", "set") and size == 3:
+            return _call(tag, _sexp(obj[1]), _sexp(obj[2]))
+        if tag == "delete" and size == 2:
+            return _call("delete", _sexp(obj[1]))
+        if tag == "panic" and size == 2 and isinstance(obj[1], str):
+            return _call("panic", Literal(None, string(obj[1])))
+        if tag == "expr" and size == 2:
+            return _sexp(obj[1])
+    raise malformed("action", obj)
+
+
+def _schedule(obj: Json) -> Sexp:
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], str):
-        raise ProgramError(f"malformed schedule {obj!r}")
+        raise ParseError(f"malformed schedule {obj!r}")
     head, rest = obj[0], obj[1:]
     if head == "run":
         limit = rest[0] if rest else 1
         ruleset = rest[1] if len(rest) > 1 else ""
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ProgramError(f"schedule run limit must be a positive int, got {limit!r}")
+            raise ParseError(f"schedule run limit must be a positive int, got {limit!r}")
         if not isinstance(ruleset, str):
-            raise ProgramError(f"schedule ruleset must be a string, got {ruleset!r}")
-        return Run(limit, ruleset)
-    if head == "saturate":
-        return Saturate(tuple(_schedule(s) for s in rest) or (Run(),))
-    if head == "seq":
-        return Seq(tuple(_schedule(s) for s in rest))
+            raise ParseError(f"schedule ruleset must be a string, got {ruleset!r}")
+        option = (Symbol(None, ":ruleset"), Symbol(None, ruleset)) if ruleset else ()
+        return _call("run", Literal(None, i64(limit)), *option)
+    if head in ("saturate", "seq"):
+        return _call(head, *map(_schedule, rest))
     if head == "repeat":
         if not rest or not isinstance(rest[0], int) or isinstance(rest[0], bool):
-            raise ProgramError(f"schedule repeat needs an integer count, got {obj!r}")
-        return Repeat(rest[0], tuple(_schedule(s) for s in rest[1:]) or (Run(),))
-    raise ProgramError(f"unknown schedule head {head!r}")
+            raise ParseError(f"schedule repeat needs an integer count, got {obj!r}")
+        return _call("repeat", Literal(None, i64(rest[0])), *map(_schedule, rest[1:]))
+    raise ParseError(f"unknown schedule head {head!r}")
 
 
-def _budget_kwargs(ctx: _Ctx, op: Dict[str, Json]) -> Dict[str, Json]:
-    """An op's run budgets, falling back to the request-level defaults."""
-    deadline_ms = _opt_int(op, "deadline_ms")
-    if deadline_ms is None:
-        deadline_ms = ctx.default_deadline_ms
-    max_nodes = _opt_int(op, "max_nodes")
-    if max_nodes is None:
-        max_nodes = ctx.default_max_nodes
-    return {
-        "deadline_s": deadline_ms / 1000.0 if deadline_ms is not None else None,
-        "max_nodes": max_nodes,
-    }
+# -- decoding: ops to command records ---------------------------------------------
 
 
-# -- op handlers --------------------------------------------------------------
-
-
-def _op_sort(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.declare_sort(_str(op, "name"))
-    return {"declared": op["name"]}
-
-
-def _op_relation(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.relation(_str(op, "name"), _sort_list(op, "args"))
-    return {"declared": op["name"]}
-
-
-def _op_function(ctx: _Ctx, op: Dict[str, Json]) -> Json:
+def _function(op: Op) -> egg.FunctionCmd:
     merge = op.get("merge")
     if merge is not None and not isinstance(merge, str):
-        raise ProgramError(f"field 'merge' must be a string, got {merge!r}")
+        raise ParseError(f"field 'merge' must be a string, got {merge!r}")
+    name, args, out = _str(op, "name"), _sort_list(op), _str(op, "out")
     default = op.get("default")
-    ctx.engine.function(
-        _str(op, "name"),
-        _sort_list(op, "args"),
-        _str(op, "out"),
-        merge=merge,
-        default=decode_value(default) if default is not None else None,
-        cost=_cost(op),
-        unextractable=bool(op.get("unextractable", False)),
-    )
-    return {"declared": op["name"]}
+    default_sexp = None if default is None else Literal(None, _literal(default))
+    unextractable = bool(op.get("unextractable", False))
+    return egg.FunctionCmd(None, name, args, out, merge, default_sexp, _cost(op), unextractable)
 
 
-def _op_constructor(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    ctx.engine.constructor(
-        _str(op, "name"),
-        _sort_list(op, "args"),
-        _str(op, "out"),
-        cost=_cost(op),
-    )
-    return {"declared": op["name"]}
+def _rule(op: Op) -> egg.RuleCmd:
+    actions = _list(op, "actions", "a list")
+    facts = _facts(op)
+    decoded = tuple(map(_action, actions))
+    return egg.RuleCmd(None, facts, decoded, _opt_str(op, "name"), _str(op, "ruleset", ""))
 
 
-def _op_rule(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    actions = op.get("actions", [])
-    if not isinstance(actions, list):
-        raise ProgramError(f"field 'actions' must be a list, got {actions!r}")
-    name = ctx.engine.add_rule(
-        Rule(
-            facts=_facts(ctx, op),
-            actions=[_inline_action(decode_action(obj), ctx.env) for obj in actions],
-            name=op.get("name"),
-            ruleset=_str(op, "ruleset", ""),
-        )
-    )
-    return {"rule": name}
+def _rewrite(op: Op) -> egg.RewriteCmd:
+    lhs, rhs, conditions = _sexp(op["lhs"]), _sexp(op["rhs"]), _facts(op, "conditions")
+    ruleset, bidirectional = _str(op, "ruleset", ""), bool(op.get("bidirectional", False))
+    return egg.RewriteCmd(None, lhs, rhs, conditions, _opt_str(op, "name"), ruleset, bidirectional)
 
 
-def _op_rewrite(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    names = ctx.engine.add_rewrite(
-        _term(ctx, op["lhs"]),
-        _term(ctx, op["rhs"]),
-        conditions=_facts(ctx, op, "conditions"),
-        name=op.get("name"),
-        ruleset=_str(op, "ruleset", ""),
-        bidirectional=bool(op.get("bidirectional", False)),
-    )
-    return {"rules": names}
-
-
-def _op_let(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    name = _str(op, "name")
-    value = ctx.engine.add(_term(ctx, op["term"]))
-    ctx.env[name] = value
-    return {"let": name, "value": encode_value(value)}
-
-
-def _op_add(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    return {"value": encode_value(ctx.engine.add(_term(ctx, op["term"])))}
-
-
-def _op_union(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    value = ctx.engine.union(_term(ctx, op["lhs"]), _term(ctx, op["rhs"]))
-    return {"value": encode_value(value)}
-
-
-def _op_run(ctx: _Ctx, op: Dict[str, Json]) -> Json:
+def _run(op: Op) -> egg.RunCmd:
     limit = _opt_int(op, "limit")
-    report = ctx.engine.run(
-        limit if limit is not None else 1,
-        ruleset=_str(op, "ruleset", ""),
-        **_budget_kwargs(ctx, op),
-    )
-    return {"report": report_json(report)}
+    ruleset = _str(op, "ruleset", "")
+    return egg.RunCmd(None, 1 if limit is None else limit, ruleset, *_budget_fields(op))
 
 
-def _op_run_schedule(ctx: _Ctx, op: Dict[str, Json]) -> Json:
+def _run_schedule(op: Op) -> egg.RunScheduleCmd:
     schedules = op.get("schedules")
     if not isinstance(schedules, list) or not schedules:
-        raise ProgramError("field 'schedules' must be a non-empty list")
-    report = ctx.engine.run_schedule(
-        *(_schedule(s) for s in schedules), **_budget_kwargs(ctx, op)
-    )
-    return {"report": report_json(report)}
+        raise ParseError("field 'schedules' must be a non-empty list")
+    return egg.RunScheduleCmd(None, tuple(map(_schedule, schedules)), *_budget_fields(op))
 
 
-def _op_check(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    facts = _facts(ctx, op)
+def _budget_fields(op: Op) -> Tuple[Optional[int], Optional[int]]:
+    return _opt_int(op, "deadline_ms"), _opt_int(op, "max_nodes")
+
+
+def _check(op: Op) -> egg.CheckCmd:
+    facts = _facts(op)
     if not facts:
-        raise ProgramError("check needs at least one fact")
-    try:
-        count = ctx.engine.check(*facts)
-    except CheckError:
-        return {"ok": False, "count": 0}
-    return {"ok": True, "count": count}
+        raise ParseError("check needs at least one fact")
+    return egg.CheckCmd(None, facts)
 
 
-def _op_extract(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    cost, best = ctx.engine.extract_with_cost(_term(ctx, op["term"]))
+# -- encoding: command results to result objects ----------------------------------
+
+
+def _extracted(_op: Op, result: Tuple[int, Any]) -> Json:
+    cost, best = result
     try:
         encoded = encode_term(best)
         # The response carries ``encoded`` as JSON, and ``json.dumps``
         # refuses nesting past the recursion limit just as encoding does.
         json.dumps(encoded)
     except RecursionError:
-        raise ProgramError(
+        raise EvalError(
             f"the extracted term is {term_depth(best)} levels deep, too deep "
             f"for the JSON wire form; /egg prints it"
         ) from None
     return {"cost": cost, "term": format_term(best), "encoded": encoded}
 
 
-def _op_explain(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    explanation = ctx.engine.explain(_term(ctx, op["lhs"]), _term(ctx, op["rhs"]))
-    return {
-        "sort": explanation.sort,
-        "lhs": explanation.lhs,
-        "rhs": explanation.rhs,
-        "steps": [
-            {
-                "lhs": step.lhs,
-                "rhs": step.rhs,
-                "kind": step.justification.kind,
-                "name": step.justification.name,
-            }
-            for step in explanation.steps
-        ],
-    }
+def _explained(_op: Op, result: Tuple[Any, Any, Any]) -> Json:
+    explanation = result[2]
+    steps = [
+        {"lhs": s.lhs, "rhs": s.rhs, "kind": s.justification.kind, "name": s.justification.name}
+        for s in explanation.steps
+    ]
+    return {"sort": explanation.sort, "lhs": explanation.lhs, "rhs": explanation.rhs, "steps": steps}
 
 
-def _op_stats(ctx: _Ctx, op: Dict[str, Json]) -> Json:
-    return ctx.engine.stats()
+def _declared(op: Op, _result: None) -> Json:
+    return {"declared": op["name"]}
 
 
-_OPS: Dict[str, Callable[[_Ctx, Dict[str, Json]], Json]] = {
-    "sort": _op_sort,
-    "relation": _op_relation,
-    "function": _op_function,
-    "constructor": _op_constructor,
-    "rule": _op_rule,
-    "rewrite": _op_rewrite,
-    "let": _op_let,
-    "add": _op_add,
-    "union": _op_union,
-    "run": _op_run,
-    "run-schedule": _op_run_schedule,
-    "check": _op_check,
-    "extract": _op_extract,
-    "explain": _op_explain,
-    "stats": _op_stats,
+def _value(_op: Op, value: Value) -> Json:
+    return {"value": encode_value(value)}
+
+
+def _report(_op: Op, report: RunReport) -> Json:
+    return {"report": report_json(report)}
+
+
+#: Per op: its decoder (op object -> command record) and its encoder (op
+#: object and the command's result -> result object).
+_OPS: Dict[str, Tuple[Callable[[Op], egg.Command], Callable[[Op, Any], Json]]] = {
+    "sort": (lambda op: egg.SortCmd(None, _str(op, "name")), _declared),
+    "relation": (lambda op: egg.RelationCmd(None, _str(op, "name"), _sort_list(op)), _declared),
+    "function": (_function, _declared),
+    "constructor": (
+        lambda op: egg.ConstructorCmd(
+            None, _str(op, "name"), _sort_list(op), _str(op, "out"), _cost(op)
+        ),
+        _declared,
+    ),
+    "rule": (_rule, lambda _op, name: {"rule": name}),
+    "rewrite": (_rewrite, lambda _op, names: {"rules": names}),
+    "let": (
+        lambda op: egg.LetCmd(None, _str(op, "name"), _sexp(op["term"])),
+        lambda op, value: {"let": op["name"], "value": encode_value(value)},
+    ),
+    "add": (lambda op: egg.AddCmd(None, _sexp(op["term"])), _value),
+    "union": (lambda op: egg.UnionCmd(None, _sexp(op["lhs"]), _sexp(op["rhs"])), _value),
+    "run": (_run, _report),
+    "run-schedule": (_run_schedule, _report),
+    "check": (_check, lambda _op, result: {"ok": result[0] > 0, "count": result[0]}),
+    "extract": (lambda op: egg.ExtractCmd(None, _sexp(op["term"])), _extracted),
+    "explain": (lambda op: egg.ExplainCmd(None, _sexp(op["lhs"]), _sexp(op["rhs"])), _explained),
+    "stats": (lambda op: egg.StatsCmd(None), lambda _op, stats: stats),
 }
 
 
-def run_ops(
-    engine: "EGraph",
-    ops: Json,
-    env: Optional[Dict[str, Value]] = None,
-    *,
-    default_deadline_ms: Optional[int] = None,
-    default_max_nodes: Optional[int] = None,
-) -> List[Json]:
-    """Run a JSON program against ``engine``; one result object per op.
+def _kind(op: Json) -> Optional[str]:
+    """The op's kind when it names a row of :data:`_OPS`, else None."""
+    kind = op.get("op") if isinstance(op, dict) else None
+    return kind if isinstance(kind, str) and kind in _OPS else None
 
-    ``env`` is the session's global ``let`` environment — shared with the
-    ``.egg`` surface, mutated in place by ``let`` ops.
-    ``default_deadline_ms``/``default_max_nodes`` are request-level budgets
-    applied to ``run``/``run-schedule`` ops that carry none of their own.
-    Raises :class:`ProgramError` on the first malformed or failing op,
-    naming its index.  This function applies ops as it goes; the session
+
+def _decode(op: Json) -> egg.Command:
+    if not isinstance(op, dict):
+        raise ParseError(f"expected an object, got {op!r}")
+    kind = _kind(op)
+    if kind is None:
+        raise ParseError(f"unknown op {op.get('op')!r} (known: {', '.join(sorted(_OPS))})")
+    try:
+        return _OPS[kind][0](op)
+    except KeyError as error:  # a required field is missing
+        raise ParseError(str(error)) from None
+
+
+def run_ops(
+    evaluator: "Evaluator",
+    ops: Json,
+    *,
+    deadline_ms: Optional[int] = None,
+    max_nodes: Optional[int] = None,
+) -> List[Json]:
+    """Run a JSON program through ``evaluator``; one result object per op.
+
+    The program shares the evaluator's engine and global ``let``
+    environment with the ``.egg`` surface.  ``deadline_ms``/``max_nodes``
+    are request-level budgets for ``run``/``run-schedule`` ops that carry
+    none of their own.  Raises :class:`ProgramError` on the first malformed
+    or failing op, naming its index.  Ops apply as they run; the session
     layer's transactional batches (:meth:`Session.run_program`) roll a
     failed program back to its pre-batch state — call ``run_ops`` directly
     only when partial application is acceptable.
     """
     if not isinstance(ops, list):
         raise ProgramError(f"a program must be a JSON array of ops, got {ops!r}")
-    ctx = _Ctx(
-        engine, env if env is not None else {}, default_deadline_ms, default_max_nodes
-    )
     results: List[Json] = []
-    for index, op in enumerate(ops):
-        if not isinstance(op, dict):
-            raise ProgramError(f"op {index}: expected an object, got {op!r}")
-        kind = op.get("op")
-        handler = _OPS.get(kind) if isinstance(kind, str) else None
-        if handler is None:
-            known = ", ".join(sorted(_OPS))
-            raise ProgramError(f"op {index}: unknown op {kind!r} (known: {known})")
-        # Fault-injection point for the durability tests: an exception
-        # "between ops" must behave exactly like a failing op.
-        trip("batch.op", tag=index)
-        try:
-            results.append(handler(ctx, op))
-        except ProgramError as error:
-            raise ProgramError(f"op {index} ({kind}): {error}") from None
-        except (EGraphError, SnapshotError, KeyError, TypeError, ValueError) as error:
-            raise ProgramError(f"op {index} ({kind}): {error}") from error
+    try:
+        for _command, result in evaluator.run_commands(
+            ops, "batch.op", _decode, deadline_ms=deadline_ms, max_nodes=max_nodes
+        ):
+            op = ops[len(results)]
+            results.append(_OPS[op["op"]][1](op, result))
+    except (FrontendError, SnapshotError) as error:
+        index = len(results)
+        kind = _kind(ops[index])
+        raise ProgramError(f"op {index}{f' ({kind})' if kind else ''}: {error}") from error
     return results

@@ -455,7 +455,9 @@ def test_run_program_returns_only_this_calls_lines():
     second = evaluator.run_program("(check (= 2 2))")
     assert first == ["check: ok (1 match(es))"]
     assert second == ["check: ok (1 match(es))"]
-    assert evaluator.lines == first + second  # full transcript still kept
+    # No transcript accumulates: a long-lived (served) session keeps only
+    # its engine state, never every line every batch printed.
+    assert not hasattr(evaluator, "lines")
 
 
 def test_sexp_literal_str_escapes_strings():
