@@ -41,7 +41,8 @@ from .values import (
 SET = "Set"
 
 #: The range of the paper's 64-bit ``i64``; results outside it fail.
-I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+I64_MIN = -(2**63)
+I64_MAX = 2**63 - 1
 
 
 @dataclass

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.builtins import I64_MAX
 from ..core.schema import RunReport
 from ..core.terms import Term, TermApp, TermLit, TermVar
 from ..core.values import Value, coerce_literal
@@ -811,4 +812,8 @@ def _first(own: Optional[int], batch: Optional[int]) -> Optional[int]:
 
 
 def _seconds(milliseconds: Optional[int]) -> Optional[float]:
-    return milliseconds / 1000.0 if milliseconds is not None else None
+    """A budget in seconds.  Deadlines past the largest i64 (about 292
+    million years) wait that long, so that every integer converts."""
+    if milliseconds is None:
+        return None
+    return min(milliseconds, I64_MAX) / 1000.0

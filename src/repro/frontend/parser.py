@@ -271,7 +271,15 @@ class Parser:
         return ParseError(message, loc, self.filename)
 
     def parse_program(self, text: str) -> List[Command]:
-        return [self.parse_command(sexp) for sexp in parse_sexps(text, self.filename)]
+        commands = []
+        for sexp in parse_sexps(text, self.filename):
+            try:
+                commands.append(self.parse_command(sexp))
+            except RecursionError:
+                # Error messages quote the offending form, and printing a
+                # deep one takes more stack than reading it did.
+                raise self.error("s-expression nested too deeply", sexp.loc) from None
+        return commands
 
     def parse_command(self, sexp: Sexp) -> Command:
         if not isinstance(sexp, SList):

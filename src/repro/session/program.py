@@ -66,17 +66,13 @@ def _opt_str(op: Op, key: str) -> Optional[str]:
     return None if op.get(key) is None else _str(op, key)
 
 
-def _opt_int(op: Op, key: str) -> Optional[int]:
+def _opt_int(op: Op, key: str, default: Optional[int] = None) -> Optional[int]:
     value = op.get(key)
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+    if value is None:
+        return default
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ParseError(f"field {key!r} must be a non-negative integer, got {value!r}")
     return value
-
-
-def _cost(op: Op) -> int:
-    """The optional ``cost`` field; the engine rejects values below 1."""
-    cost = _opt_int(op, "cost")
-    return 1 if cost is None else cost
 
 
 def _sort_list(op: Op, key: str = "args") -> Tuple[str, ...]:
@@ -118,16 +114,9 @@ _SHAPES: Dict[str, Callable[[Json], bool]] = {
 }
 
 
-#: Sorts whose payload is one JSON scalar, kept as is.
-_SCALARS = {"i64": int, "String": str, "bool": bool}
-
-
 def _literal(obj: Json) -> Value:
     """A wire literal ``[sort, payload]``, refused unless its sort is
     primitive and its payload has that sort's shape."""
-    sort = obj[0] if type(obj) is list and len(obj) == 2 else None
-    if type(sort) is str and _SCALARS.get(sort) is type(obj[1]):
-        return Value(sort, obj[1])
     value = decode_value(obj)  # a malformed pair or tagged payload raises here
     shape = _SHAPES.get(value.sort)
     if shape is None:
@@ -166,7 +155,8 @@ def _facts(op: Op, key: str = "facts") -> Tuple[Sexp, ...]:
 
 def _action(obj: Json) -> Sexp:
     if type(obj) is list and obj:
-        tag, size = obj[0], len(obj)
+        tag = obj[0]
+        size = len(obj)
         if tag == "let" and size == 3 and isinstance(obj[1], str):
             return _call("let", Symbol(None, obj[1]), _sexp(obj[2]))
         if tag in ("union", "set") and size == 3:
@@ -209,11 +199,14 @@ def _function(op: Op) -> egg.FunctionCmd:
     merge = op.get("merge")
     if merge is not None and not isinstance(merge, str):
         raise ParseError(f"field 'merge' must be a string, got {merge!r}")
-    name, args, out = _str(op, "name"), _sort_list(op), _str(op, "out")
+    name = _str(op, "name")
+    args = _sort_list(op)
+    out = _str(op, "out")
     default = op.get("default")
     default_sexp = None if default is None else Literal(None, _literal(default))
+    cost = _opt_int(op, "cost", 1)  # the engine rejects costs below 1
     unextractable = bool(op.get("unextractable", False))
-    return egg.FunctionCmd(None, name, args, out, merge, default_sexp, _cost(op), unextractable)
+    return egg.FunctionCmd(None, name, args, out, merge, default_sexp, cost, unextractable)
 
 
 def _rule(op: Op) -> egg.RuleCmd:
@@ -224,15 +217,17 @@ def _rule(op: Op) -> egg.RuleCmd:
 
 
 def _rewrite(op: Op) -> egg.RewriteCmd:
-    lhs, rhs, conditions = _sexp(op["lhs"]), _sexp(op["rhs"]), _facts(op, "conditions")
-    ruleset, bidirectional = _str(op, "ruleset", ""), bool(op.get("bidirectional", False))
+    lhs = _sexp(op["lhs"])
+    rhs = _sexp(op["rhs"])
+    conditions = _facts(op, "conditions")
+    ruleset = _str(op, "ruleset", "")
+    bidirectional = bool(op.get("bidirectional", False))
     return egg.RewriteCmd(None, lhs, rhs, conditions, _opt_str(op, "name"), ruleset, bidirectional)
 
 
 def _run(op: Op) -> egg.RunCmd:
-    limit = _opt_int(op, "limit")
-    ruleset = _str(op, "ruleset", "")
-    return egg.RunCmd(None, 1 if limit is None else limit, ruleset, *_budget_fields(op))
+    limit = _opt_int(op, "limit", 1)
+    return egg.RunCmd(None, limit, _str(op, "ruleset", ""), *_budget_fields(op))
 
 
 def _run_schedule(op: Op) -> egg.RunScheduleCmd:
@@ -300,7 +295,7 @@ _OPS: Dict[str, Tuple[Callable[[Op], egg.Command], Callable[[Op, Any], Json]]] =
     "function": (_function, _declared),
     "constructor": (
         lambda op: egg.ConstructorCmd(
-            None, _str(op, "name"), _sort_list(op), _str(op, "out"), _cost(op)
+            None, _str(op, "name"), _sort_list(op), _str(op, "out"), _opt_int(op, "cost", 1)
         ),
         _declared,
     ),

@@ -142,6 +142,19 @@ def test_deep_egg_terms_answer_422(live, depth, message):
     assert _rows(live, session)["S"] == 0
 
 
+@pytest.mark.parametrize(
+    "program",
+    [f"(sort {'(' * 400}{')' * 400})", f"(function f {'(' * 400}{')' * 400} i64)"],
+    ids=["sort", "function"],
+)
+def test_deep_egg_forms_the_parser_refuses_answer_422(live, program):
+    # The parser's error quotes the offending form, and printing a deep one
+    # takes more stack than reading it did.
+    session = _session(live)
+    status, body = _egg(live, session, program)
+    assert status == 422 and body["error"].endswith("1:1: s-expression nested too deeply"), body
+
+
 def test_deep_json_terms_answer_422(live):
     session = _session(live)
     term = ["a", "Z", []]
@@ -167,6 +180,19 @@ def test_bodies_json_refuses_answer_400(live, body):
         assert b"request body is not valid JSON" in response.read()
     finally:
         conn.close()
+
+
+def test_budgets_past_the_float_range_answer_200(live):
+    huge = 10**400  # json.loads reads up to 4,300 digits; a float holds ~309
+    session = _session(live)
+    run = {"op": "run", "deadline_ms": huge, "max_nodes": huge}
+    schedule = {"op": "run-schedule", "schedules": [["run"]], "deadline_ms": huge}
+    status, body = live.request(
+        "POST", f"{session}/program", {"ops": [{"op": "run"}, run, schedule], "deadline_ms": huge}
+    )
+    assert status == 200 and len(body["results"]) == 3, body
+    status, body = _egg(live, session, f"(run 1 :deadline-ms {huge} :max-nodes {huge})")
+    assert status == 200 and body["lines"][0].startswith("run: "), body
 
 
 def test_the_reader_reports_deep_input_as_a_located_parse_error():
@@ -217,7 +243,7 @@ _FIELDS = ["name", "args", "out", "merge", "default", "cost", "unextractable", "
            "actions", "ruleset", "lhs", "rhs", "conditions", "bidirectional", "term",
            "limit", "deadline_ms", "max_nodes", "schedules"]
 _SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**64, 1.5]),
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**64, 10**400, 1.5]),
     st.sampled_from(["M", "T", "i64", "r", "g", "S", "Z", "x", "=", "v", "l", "a", "run"]),
 )
 _JSON = st.recursive(
