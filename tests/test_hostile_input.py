@@ -130,29 +130,25 @@ def _deep(depth):
     return "(S " * depth + "(Z)" + ")" * depth
 
 
-@pytest.mark.parametrize(
-    "depth, message",
-    [(400, "1:2: input nested too deeply"), (500, "1:1: s-expression nested too deeply"),
-     (5000, "1:1: s-expression nested too deeply")],
-)
-def test_deep_egg_terms_answer_422(live, depth, message):
-    session = _session(live)
-    status, body = _egg(live, session, f"(let deep {_deep(depth)})")
-    assert status == 422 and body["error"].endswith(message), body
-    assert _rows(live, session)["S"] == 0
+_DEEP_LIST = "(" * 400 + ")" * 400
 
 
 @pytest.mark.parametrize(
-    "program",
-    [f"(sort {'(' * 400}{')' * 400})", f"(function f {'(' * 400}{')' * 400} i64)"],
-    ids=["sort", "function"],
+    "program, message",
+    [(f"(let deep {_deep(400)})", "1:2: input nested too deeply"),
+     (f"(let deep {_deep(500)})", "1:1: s-expression nested too deeply"),
+     (f"(let deep {_deep(5000)})", "1:1: s-expression nested too deeply"),
+     # The parser's error quotes the offending form, and printing a deep
+     # one takes more stack than reading it did.
+     (f"(sort {_DEEP_LIST})", "1:1: s-expression nested too deeply"),
+     (f"(function f {_DEEP_LIST} i64)", "1:1: s-expression nested too deeply")],
+    ids=["lower-400", "read-500", "read-5000", "parse-sort", "parse-function"],
 )
-def test_deep_egg_forms_the_parser_refuses_answer_422(live, program):
-    # The parser's error quotes the offending form, and printing a deep one
-    # takes more stack than reading it did.
+def test_deep_egg_terms_answer_422(live, program, message):
     session = _session(live)
     status, body = _egg(live, session, program)
-    assert status == 422 and body["error"].endswith("1:1: s-expression nested too deeply"), body
+    assert status == 422 and body["error"].endswith(message), body
+    assert _rows(live, session)["S"] == 0
 
 
 def test_deep_json_terms_answer_422(live):
