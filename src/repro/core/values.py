@@ -241,7 +241,10 @@ def coerce_literal(value: Value, sort_name: str) -> "Value | None":
     convert = _LITERAL_COERCIONS.get((value.sort, sort_name))
     if convert is None:
         return None
-    return convert(value.data)
+    try:
+        return convert(value.data)
+    except OverflowError:  # an integer too large for a double
+        return None
 
 
 def parse_literal(sort_name: str, text: str) -> Value:

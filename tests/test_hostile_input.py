@@ -220,6 +220,22 @@ def test_i64_results_outside_64_bits_fail_the_primitive(live, program, failing):
     assert status == 422 and failing in body["error"], body
 
 
+@pytest.mark.parametrize("surface", ["egg", "json"])
+def test_integers_too_large_for_a_double_do_not_widen_to_f64(live, surface):
+    huge = 10**400
+    session = _session(live)
+    if surface == "egg":
+        status, body = _egg(live, session, f"(relation rf (f64))\n(rf {huge})")
+    else:
+        status, body = _ops(
+            live,
+            session,
+            {"op": "relation", "name": "rf", "args": ["f64"]},
+            {"op": "add", "term": ["a", "rf", [_lit("i64", huge)]]},
+        )
+    assert status == 422 and "expected a f64 here, got a i64" in body["error"], body
+
+
 def test_repeated_squaring_stops_at_the_i64_range(live):
     # Squaring 3 passes 2^63 at the sixth step.  Eight steps show the stop;
     # forty, as a client could send, would ask a build without the range
