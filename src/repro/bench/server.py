@@ -1,10 +1,10 @@
 """Server bench: warm-base session forking versus cold program loads.
 
 The service's reason to exist is that forking a session from a warm base —
-an in-memory snapshot decode that reuses the base's primitive registry and
-therefore the process-level compiled-plan cache — is much cheaper than
-rebuilding the same e-graph from source.  This bench pins that claim as a
-``BENCH_server.json`` the regression gate can diff:
+a copy-on-write capture of the base (:meth:`EGraph.fork`) that reuses its
+primitive registry and therefore the process-level compiled-plan cache — is
+much cheaper than rebuilding the same e-graph from source.  This bench pins
+that claim as a ``BENCH_server.json`` the regression gate can diff:
 
 * ``fork-warm`` — one :class:`~repro.session.SessionManager` holds a
   saturated ``tc_chain`` base; the timed loop forks N sessions from it and

@@ -27,8 +27,10 @@ the indexes rebuilding and extraction also read.  Both shapes support
 restricted to rows whose timestamp is at least ``since``.
 
 Cache invalidation is the engine's job: a rule's compiled executor is
-cached on the rule and keyed by the engine's compile epoch, which
-push/pop and rule replacement bump (see ``EGraph.rule_exec``).
+cached on the rule and keyed by the engine's compile epoch, which every
+restore bumps (pop, a rolled-back batch, a fork's child); a capture
+leaves it alone, and a replaced rule starts with no executor (see
+``EGraph.rule_exec``).
 """
 
 from __future__ import annotations

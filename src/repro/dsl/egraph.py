@@ -12,8 +12,12 @@ handle-based surface:
 * :meth:`run` takes an iteration limit *or* schedule combinators and
   returns the engine's :class:`~repro.core.schema.RunReport`;
 * :meth:`extract` returns a rich :class:`Extracted` value;
-* :meth:`push` / :meth:`pop` / :meth:`scoped` snapshot the engine —
+* :meth:`push` / :meth:`pop` / :meth:`scoped` are the engine's own —
   handles declared inside a popped scope go stale and say so when used.
+
+The engine is the only copy of the state: the handle maps are a view of
+its declarations, re-derived after every operation that replaces them
+(:meth:`pop`, :meth:`load`, :meth:`from_snapshot`, :meth:`fork`).
 
 Every mistake the DSL can catch locally raises a
 :class:`~repro.dsl.errors.DslError` subclass whose message includes the
@@ -64,22 +68,6 @@ from .rules import (
 )
 
 MergeLike = Union[None, str, object]
-
-
-@dataclass
-class _DslSnapshot:
-    """DSL-side bookkeeping saved by :meth:`EGraph.push`.
-
-    The engine snapshots its own state; this captures what lives in the
-    DSL layer — handle maps, ruleset rule lists, and each owned sort's
-    operator table — so :meth:`EGraph.pop` restores both in lockstep.
-    """
-
-    sorts: Dict[str, Sort]
-    functions: Dict[str, "Function"]
-    rulesets: Dict[str, Ruleset]
-    rule_names: Dict[str, List[str]]
-    ops: Dict[str, Dict[str, "Function"]]
 
 
 # eq=False: a generated __eq__ would compare the Expr field, whose own
@@ -162,9 +150,6 @@ class EGraph:
         self._sorts: Dict[str, Sort] = dict(BUILTIN_SORT_HANDLES)
         self._functions: Dict[str, Function] = {}
         self._rulesets: Dict[str, Ruleset] = {}
-        #: DSL-side bookkeeping snapshots, kept in lockstep with the
-        #: engine's push/pop stack.
-        self._snapshots: List[_DslSnapshot] = []
 
     # -- declarations ---------------------------------------------------------
 
@@ -337,8 +322,7 @@ class EGraph:
         if isinstance(ruleset, Ruleset):
             return ruleset.register(*items)  # type: ignore[return-value]
         name = ruleset if ruleset is not None else DEFAULT_RULESET
-        # Always route through the Ruleset handle so its rule_names
-        # bookkeeping stays accurate (including for the default ruleset).
+        # The Ruleset handle also takes the decorator form.
         return self.ruleset(name).register(*items)  # type: ignore[return-value]
 
     def _register_items(
@@ -601,54 +585,22 @@ class EGraph:
 
     def push(self) -> int:
         """Snapshot the engine state; returns the new stack depth."""
-        depth = self.engine.push()
-        self._snapshots.append(
-            _DslSnapshot(
-                sorts=dict(self._sorts),
-                functions=dict(self._functions),
-                rulesets=dict(self._rulesets),
-                rule_names={
-                    name: list(rs.rule_names) for name, rs in self._rulesets.items()
-                },
-                ops={
-                    name: dict(sort._ops)
-                    for name, sort in self._sorts.items()
-                    if sort.owner is self
-                },
-            )
-        )
-        return depth
+        return self.engine.push()
 
     def pop(self, count: int = 1) -> int:
         """Restore the latest snapshot(s); returns the remaining depth.
 
-        DSL bookkeeping (handle maps, ruleset rule lists, operator
-        bindings) rolls back alongside the engine.  Handles declared since
-        the matching :meth:`push` go *stale*: using them afterwards raises
-        a precise :class:`~repro.dsl.errors.StaleHandleError` rather than
-        corrupting the restored state.
+        The handle maps are re-derived from the restored engine (see
+        :meth:`_derive_handles`).  Handles declared since the matching
+        :meth:`push` go *stale*: using them afterwards raises a precise
+        :class:`~repro.dsl.errors.StaleHandleError` rather than corrupting
+        the restored state.
         """
         try:
             depth = self.engine.pop(count)
         except EGraphError as exc:
             raise DslError(str(exc)) from None
-        if count > len(self._snapshots):
-            # The engine was pushed directly (eg.engine.push()) without the
-            # DSL seeing it; the engine state is authoritative, and stale
-            # handles still self-detect via declaration identity.
-            self._snapshots.clear()
-            return depth
-        snap = self._snapshots[-count]
-        del self._snapshots[-count:]
-        self._sorts = snap.sorts
-        self._functions = snap.functions
-        self._rulesets = snap.rulesets
-        for name, names in snap.rule_names.items():
-            self._rulesets[name].rule_names[:] = names
-        for name, ops in snap.ops.items():
-            sort_ops = self._sorts[name]._ops
-            sort_ops.clear()
-            sort_ops.update(ops)
+        self._derive_handles()
         return depth
 
     @contextmanager
@@ -675,55 +627,47 @@ class EGraph:
         from ..serialize import SnapshotError
 
         try:
-            return self.engine.save(path, surfaces=self._dsl_surfaces())
+            return self.engine.save(path, surfaces={"dsl": self._dsl_section()})
         except SnapshotError as error:
             raise DslError(str(error)) from error
 
-    def _dsl_surfaces(self) -> dict:
+    def _dsl_section(self) -> dict:
         """The ``surfaces.dsl`` section: handle provenance that the engine
         itself doesn't carry (declaration sites, operator bindings)."""
         return {
-            "dsl": {
-                "sorts": [
-                    [sort.name, sort.decl_site]
-                    for sort in self._sorts.values()
-                    if sort.owner is self
-                ],
-                "operators": [
-                    [sort.name, op, fn.name]
-                    for sort in self._sorts.values()
-                    if sort.owner is self
-                    for op, fn in sort._ops.items()
-                ],
-            }
+            "sorts": [
+                [sort.name, sort.decl_site]
+                for sort in self._sorts.values()
+                if sort.owner is self
+            ],
+            "operators": [
+                [sort.name, op, fn.name]
+                for sort in self._sorts.values()
+                if sort.owner is self
+                for op, fn in sort._ops.items()
+            ],
         }
 
     def fork(self) -> "EGraph":
         """An independent copy of this EGraph — engine state and handles.
 
-        The engine round-trips through an in-memory snapshot document (no
-        file I/O) and the fork re-hydrates *fresh* handles from it: the two
-        EGraphs share no mutable state, so declaring sorts, binding
-        operators, or running rules on one never affects the other.  The
-        primitive registry is intentionally shared, keeping the
-        process-level compiled-plan cache hot across forks.
+        The engine forks through its capture path
+        (:meth:`repro.engine.EGraph.fork`): tables are shared copy-on-write,
+        so a fork costs O(tables + e-classes), and the primitive registry is
+        shared, which keeps the process-level compiled-plan cache hot across
+        forks.  The fork gets *fresh* handles carrying this EGraph's
+        declaration sites and operator bindings, so declaring sorts, binding
+        operators, or running rules on one never affects the other.
+        Functions with a Python-callable merge or default fork too; only
+        :meth:`save` refuses them.
 
         Handles from the parent do not work on the fork (they belong to a
         different EGraph and say so) — look up the fork's own via
-        :meth:`function_handle` / :meth:`ruleset`.  Functions whose
-        merge/default is an arbitrary Python callable cannot round-trip and
-        raise :class:`DslError`, same as :meth:`save`.
+        :meth:`function_handle` / :meth:`ruleset`.
         """
-        from ..serialize import SnapshotError, engine_document, engine_from_document
-
-        try:
-            document = engine_document(self.engine, surfaces=self._dsl_surfaces())
-            engine = engine_from_document(document, registry=self.engine.registry)
-        except SnapshotError as error:
-            raise DslError(str(error)) from error
-        forked = type(self).__new__(type(self))
-        forked.engine = engine
-        forked._hydrate(document)
+        forked = type(self)(registry=self.engine.registry)
+        forked.engine = self.engine.fork()
+        forked._derive_handles(self._dsl_section())
         return forked
 
     @classmethod
@@ -740,22 +684,15 @@ class EGraph:
         ``surfaces.dsl`` section; snapshots written by other surfaces load
         fine, with declaration sites defaulting to ``"<snapshot>"``.
         """
-        from ..serialize import SnapshotError, load_engine
-
-        try:
-            engine, document = load_engine(path, registry=registry)
-        except SnapshotError as error:
-            raise DslError(str(error)) from error
-        self = cls.__new__(cls)
-        self.engine = engine
-        self._hydrate(document)
+        self = cls(registry=registry)
+        self.load(path)
         return self
 
     def load(self, path: str) -> None:
         """Replace this EGraph's state — engine and handles — in place.
 
-        Handles declared before the load go stale (their declarations are
-        gone) and say so when used, exactly as after :meth:`pop`.
+        Handles whose declarations the load replaced go stale and say so
+        when used, exactly as after :meth:`pop`.
         """
         from ..serialize import SnapshotError
 
@@ -763,61 +700,76 @@ class EGraph:
             document = self.engine.load(path)
         except SnapshotError as error:
             raise DslError(str(error)) from error
-        self._hydrate(document)
-
-    def _hydrate(self, document: dict) -> None:
-        """Rebuild handle maps from the engine's loaded state.
-
-        The ``surfaces.dsl`` section (when present) supplies declaration
-        sites and operator bindings; everything else derives from the
-        engine: one :class:`Sort` handle per declared eq-sort, one
-        :class:`Function` handle per declaration, one :class:`Ruleset`
-        handle per engine ruleset.
-        """
         surfaces = document.get("surfaces")
-        dsl = surfaces.get("dsl", {}) if isinstance(surfaces, dict) else {}
+        dsl = surfaces.get("dsl") if isinstance(surfaces, dict) else None
+        self._derive_handles(dsl if isinstance(dsl, dict) else None)
+
+    def _derive_handles(self, dsl: Optional[dict] = None) -> None:
+        """Bring the handle maps in line with the engine, the one copy of
+        the state.
+
+        A handle stays while the engine holds its sort, its exact
+        :class:`~repro.core.schema.FunctionDecl` or its ruleset; any other
+        handle is dropped, a function's together with its operator
+        bindings.  Every sort, function and ruleset that lacks a handle
+        gets one, with its declaration site and operators taken from
+        ``dsl`` (a ``surfaces.dsl`` section) when it names them.
+        """
+        dsl = dsl or {}
+        engine = self.engine
         sites = {
             entry[0]: entry[1]
             for entry in dsl.get("sorts", [])
             if isinstance(entry, list) and len(entry) == 2
         }
-        self._sorts = dict(BUILTIN_SORT_HANDLES)
-        self._functions = {}
-        self._rulesets = {}
-        self._snapshots = []
-        for name, sort in self.engine.sorts.items():
-            if name in self._sorts:
-                continue
-            self._sorts[name] = Sort(
-                name,
-                is_eq_sort=sort.is_eq_sort,
-                owner=self,
-                decl_site=str(sites.get(name, "<snapshot>")),
-            )
-        for name, decl in self.engine.decls.items():
-            args = tuple(self._handle_of(s) for s in decl.arg_sorts)
-            out = self._handle_of(decl.out_sort)
-            self._functions[name] = Function(
-                self, decl, args, out, decl.decl_site or "<snapshot>"
-            )
+        self._sorts = {
+            name: sort for name, sort in self._sorts.items() if name in engine.sorts
+        }
+        for name, engine_sort in engine.sorts.items():
+            if name not in self._sorts:
+                self._sorts[name] = Sort(
+                    name,
+                    is_eq_sort=engine_sort.is_eq_sort,
+                    owner=self,
+                    decl_site=str(sites.get(name, "<snapshot>")),
+                )
+        self._functions = {
+            name: fn
+            for name, fn in self._functions.items()
+            if engine.decls.get(name) is fn.decl
+        }
+        for sort in self._sorts.values():
+            if sort.owner is self:
+                sort._ops = {
+                    op: fn
+                    for op, fn in sort._ops.items()
+                    if self._functions.get(fn.name) is fn
+                }
+        for name, decl in engine.decls.items():
+            if name not in self._functions:
+                self._functions[name] = Function(
+                    self,
+                    decl,
+                    tuple(self._sorts[s] for s in decl.arg_sorts),
+                    self._sorts[decl.out_sort],
+                    decl.decl_site or "<snapshot>",
+                )
         for entry in dsl.get("operators", []):
             if not isinstance(entry, list) or len(entry) != 3:
                 continue
             sort_name, op, fn_name = entry
-            sort = self._sorts.get(sort_name)
+            target = self._sorts.get(sort_name)
             fn = self._functions.get(fn_name)
-            if sort is None or sort.owner is not self or fn is None:
+            if target is None or target.owner is not self or fn is None:
                 continue
-            if op in SUPPORTED_OPERATORS and sort.operator(op) is None:
-                sort.bind_operator(op, fn)
-        for name, rule_names in self.engine.rulesets.items():
-            rs = Ruleset(self, name, "<snapshot>")
-            rs.rule_names[:] = rule_names
-            self._rulesets[name] = rs
-
-    def _handle_of(self, sort_name: str) -> Sort:
-        handle = self._sorts.get(sort_name)
-        return handle if handle is not None else builtin_sort_handle(sort_name)
+            if op in SUPPORTED_OPERATORS and target.operator(op) is None:
+                target.bind_operator(op, fn)
+        self._rulesets = {
+            name: rs for name, rs in self._rulesets.items() if name in engine.rulesets
+        }
+        for name in engine.rulesets:
+            if name not in self._rulesets:
+                self._rulesets[name] = Ruleset(self, name, "<snapshot>")
 
     # -- introspection --------------------------------------------------------
 

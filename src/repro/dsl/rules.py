@@ -384,13 +384,17 @@ class Ruleset:
     ``eg.run(seq(rs.saturate(), other.run(2)))``.
     """
 
-    __slots__ = ("_egraph", "name", "decl_site", "rule_names")
+    __slots__ = ("_egraph", "name", "decl_site")
 
     def __init__(self, egraph: "EGraph", name: str, decl_site: str) -> None:
         self._egraph = egraph
         self.name = name
         self.decl_site = decl_site
-        self.rule_names: List[str] = []
+
+    @property
+    def rule_names(self) -> List[str]:
+        """Names of the rules the engine holds in this ruleset, in order."""
+        return list(self._egraph.engine.rulesets.get(self.name, []))
 
     def register(self, *items):
         """Register rules/rewrites; usable directly or as a decorator."""
@@ -407,15 +411,11 @@ class Ruleset:
             rules: Iterable[RegistrableRule] = (
                 produced if isinstance(produced, (list, tuple)) else [produced]
             )
-            self.rule_names.extend(
-                self._egraph._register_items(
-                    rules, ruleset=self.name, default_name=fn.__name__
-                )
+            self._egraph._register_items(
+                rules, ruleset=self.name, default_name=fn.__name__
             )
             return fn
-        names = self._egraph._register_items(items, ruleset=self.name)
-        self.rule_names.extend(names)
-        return names
+        return self._egraph._register_items(items, ruleset=self.name)
 
     def replace(self, item: RegistrableRule, *, name: Optional[str] = None) -> str:
         """Swap a registered rule of this ruleset with a new definition.
@@ -445,13 +445,7 @@ class Ruleset:
         engine_rule = lowered[0]
         if name is not None:
             engine_rule.name = name
-        replaced = self._egraph.engine.replace_rule(engine_rule)
-        if replaced not in self.rule_names:
-            # replace_rule already verified the ruleset matches; keep the
-            # handle's bookkeeping consistent for rules registered before
-            # this Ruleset object existed (e.g. across scoped() restores).
-            self.rule_names.append(replaced)
-        return replaced
+        return self._egraph.engine.replace_rule(engine_rule)
 
     # -- schedule fragments --------------------------------------------------
 

@@ -3,8 +3,9 @@
 PR 5 cached each rule's compiled executor *on the rule object*, which is
 the right lifetime for a single engine but the wrong one for a session
 service: a hundred sessions forked from one base each carry fresh
-``CompiledRule`` objects (snapshot decode builds new ones), so every fork
-would recompile every rule's query plan from scratch.
+``CompiledRule`` objects (``EGraph.fork`` gives the child its own, since a
+rule's watermark and executor belong to one engine), so every fork would
+recompile every rule's query plan from scratch.
 
 The split that makes sharing sound: a rule's executor has an
 **engine-independent** half and an **engine-bound** half.

@@ -103,7 +103,7 @@ class EGraph:
         self.timestamp = 0
         self._updates = 0
         #: Bumped whenever compiled executors may hold stale references
-        #: (push/pop, rule replacement); see :meth:`rule_exec`.
+        #: (every restore: pop, rollback, a fork's child); see :meth:`rule_exec`.
         self._compile_epoch = 0
         #: Per-function compiled merge-resolution closures (see merge_fn).
         self._merge_fns: Dict[str, Callable[[Value, Value], Value]] = {}
@@ -121,8 +121,10 @@ class EGraph:
     def compile_epoch(self) -> int:
         """Monotone counter invalidating compiled plans/programs.
 
-        Push/pop and rule replacement bump it: compiled closures capture
-        table and declaration objects those operations may swap out.
+        Every :meth:`restore_state` bumps it (pop, a rolled-back batch, a
+        fork's child): compiled closures capture table and declaration
+        objects a restore may swap out.  A capture (:meth:`push`,
+        :meth:`snapshot_state`) swaps nothing and leaves it alone.
         """
         return self._compile_epoch
 
@@ -668,10 +670,11 @@ class EGraph:
         log are copied.  The snapshot is *out of band* — it does not touch
         the :meth:`push`/:meth:`pop` stack, so holders (transactional
         batches, :meth:`fork`) can roll back without disturbing
-        client-visible push/pop pairing.  Compiled executors are
-        invalidated on capture, mirroring :meth:`push`.
+        client-visible push/pop pairing.  A capture replaces no table,
+        declaration or rule, so compiled executors stay valid; only
+        :meth:`restore_state` invalidates them.
         """
-        state = {
+        return {
             "uf": self.uf.snapshot(),
             "sorts": dict(self.sorts),
             "decls": dict(self.decls),
@@ -685,8 +688,6 @@ class EGraph:
                 dict(self._proof_log) if self._proof_log is not None else None
             ),
         }
-        self.invalidate_compiled()
-        return state
 
     def restore_state(self, snap: dict) -> None:
         """Reinstall a :meth:`snapshot_state` capture, discarding all changes
@@ -703,16 +704,17 @@ class EGraph:
         self.decls = dict(snap["decls"])
         # Tables declared after the capture are dropped; surviving Table
         # objects are restored in place, so tables not written since the
-        # capture keep their indexes.  A table missing now (a fresh fork,
-        # or an in-batch ``load`` replaced the schema) is recreated.
-        self.tables = {
-            name: self.tables[name] for name in snap["tables"] if name in self.tables
-        }
+        # capture keep their indexes.  A table that is missing now (a fresh
+        # fork, an in-batch ``load``) or bound to another declaration (a
+        # ``pop`` then a redeclaration) is recreated on the captured one.
+        tables: Dict[str, Table] = {}
         for name, state in snap["tables"].items():
             table = self.tables.get(name)
-            if table is None:
-                table = self.tables[name] = Table(self.decls[name])
+            if table is None or table.decl is not self.decls[name]:
+                table = Table(self.decls[name])
             table.restore(state)
+            tables[name] = table
+        self.tables = tables
         self.rules = dict(snap["rules"])
         for name, last_run in snap["watermarks"].items():
             self.rules[name].last_run = last_run

@@ -23,7 +23,8 @@ The program shares the engine's compiled merge-resolution path
 a congruence repair resolve merges through the same cached closure.
 
 Compiled programs are cached per rule and invalidated by the engine's
-compile epoch (push/pop, rule replacement) — see ``EGraph.rule_exec``.
+compile epoch, which every restore bumps (pop, rollback, a fork's child);
+a replaced rule starts with none — see ``EGraph.rule_exec``.
 """
 
 from __future__ import annotations
@@ -339,9 +340,11 @@ class RuleExec:
 
     Built by ``EGraph.rule_exec`` and cached on the rule;
     ``epoch`` pins it to the engine state it was compiled against — the
-    engine bumps its compile epoch on push/pop and rule replacement, which
-    invalidates every cached executor (closures capture tables and
-    declarations that those operations may replace).
+    engine bumps its compile epoch on every restore (pop, a rolled-back
+    batch, a fork's child), which invalidates every cached executor
+    (closures capture tables and declarations a restore may replace).  A
+    capture (push, a batch's transaction) keeps them, and a replaced rule
+    is a fresh object with no executor.
 
     The engine-independent half — slot assignment and the compiled query
     search — comes from the process-level plan cache

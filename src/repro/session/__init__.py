@@ -3,8 +3,9 @@
 This package is the engine-facing half of the service layer (the HTTP half
 lives in :mod:`repro.server`).  A :class:`SessionManager` owns named **base**
 e-graphs — built by running ``.egg`` programs or loading ``repro.snapshot/v1``
-files — and forks per-client :class:`Session` objects from them through
-in-memory snapshot documents, no disk I/O on the fork path.  Sessions accept
+files — and forks per-client :class:`Session` objects from them with
+:meth:`EGraph.fork`, which shares the base's tables copy-on-write (no
+document, no disk I/O on the fork path).  Sessions accept
 ``.egg`` command batches and JSON-encoded programs
 (:mod:`repro.session.program`), run schedules under budgets, and answer
 extract/check/explain queries.

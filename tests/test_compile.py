@@ -278,7 +278,8 @@ def test_push_pop_across_compiled_run(executor):
     before = path_rows(eg)
     epoch = eg.compile_epoch
     eg.push()
-    assert eg.compile_epoch != epoch
+    # A capture swaps nothing a compiled executor holds; only a restore does.
+    assert eg.compile_epoch == epoch
     eg.relation("marked", (I64,))
     eg.add_rule(
         Rule(
@@ -292,6 +293,7 @@ def test_push_pop_across_compiled_run(executor):
     assert (4, 5) in path_rows(eg)
     assert len(eg.tables["marked"]) > 0
     eg.pop()
+    assert eg.compile_epoch != epoch
     # The popped scope's table and rule are gone; compiled plans of the
     # surviving rules were invalidated and recompile cleanly.
     assert "marked" not in eg.tables and "mark" not in eg.rules

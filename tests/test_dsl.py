@@ -326,6 +326,19 @@ def test_stale_handle_after_pop_diagnostic():
     assert repr(again(1)) == "Inner(1)"
 
 
+def test_pop_of_a_direct_engine_push_keeps_live_handles():
+    # The pop undoes the engine's own push, so G stays declared and its
+    # handle stays live: the handles follow the engine, not a DSL stack.
+    eg = EGraph()
+    eg.push()
+    g = eg.relation("G", i64)
+    eg.engine.push()
+    assert eg.pop() == 1
+    assert "G" in eg.engine.decls
+    assert eg.function_handle("G") is g
+    assert repr(g(1)) == "G(1)"
+
+
 def test_add_rejects_non_ground_expressions():
     eg, math, num, sym, add, mul, shl = math_engine()
     (x,) = vars_("x", math)
@@ -465,6 +478,16 @@ def test_default_ruleset_handle_tracks_registrations():
     x, y = vars_("x y", math)
     names = eg.register((x * y).to(y * x))
     assert default.rule_names == names and len(default) == 1
+
+
+def test_ruleset_handle_reads_rules_added_through_the_engine():
+    eg, math, *_ = math_engine()
+    opt = eg.ruleset("opt")
+    x, y = vars_("x y", math)
+    (direct,) = (x * y).to(y * x, name="direct").to_engine(ruleset="opt")
+    eg.engine.add_rule(direct)
+    assert eg.engine.rulesets["opt"] == ["direct"]
+    assert opt.rule_names == ["direct"] and len(opt) == 1
 
 
 def test_scoped_snapshot_context_manager():

@@ -445,6 +445,26 @@ def test_pop_inside_snapshot_scope_keeps_stack_entry_pristine():
     assert len(eg.tables["A"]) == 0
 
 
+def test_restore_rebinds_a_table_whose_function_was_redeclared():
+    # A rolled-back batch that pops and redeclares a function must leave the
+    # table on the captured declaration, or rebuild merges with the other.
+    eg = EGraph()
+    eg.declare_sort("E")
+    eg.constructor("A", (), "E")
+    eg.constructor("B", (), "E")
+    eg.push()
+    kept = eg.function("f", ("E",), I64, merge="min")
+    run_actions(eg, [Set(App("f", App("A")), L(5)), Set(App("f", App("B")), L(7))], {})
+    snap = eg.snapshot_state()
+    eg.pop()
+    eg.function("f", ("E",), I64, merge="max")
+    eg.restore_state(snap)
+    assert eg.tables["f"].decl is kept is eg.decls["f"]
+    eg.union(App("A"), App("B"))
+    eg.rebuild()
+    assert eg.lookup(App("f", App("A"))) == i64(5)
+
+
 def test_pop_counts_and_errors():
     eg = EGraph()
     assert eg.push() == 1

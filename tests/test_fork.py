@@ -13,9 +13,10 @@ import pytest
 
 from repro import EGraph as DslEGraph
 from repro.core.terms import App, V
-from repro.dsl import UnknownSortError, i64, vars_
+from repro.dsl import DslError, UnknownSortError, i64, set_, vars_
 from repro.engine import EGraph, Rule
 from repro.engine.actions import Expr as ActExpr
+from repro.engine.actions import run_actions
 from repro.engine.budget import STOP_DEADLINE, STOP_MAX_NODES, Budget
 from repro.engine.compilecache import CACHE
 from repro.engine.schedule import Run, Saturate, Seq
@@ -162,6 +163,31 @@ def test_dsl_fork_operator_bindings_survive():
     assert fork_math._ops is not math._ops
     fx, fy = vars_("x y", fork_math)
     assert repr(fx + fy) == "Add(x, y)"
+
+
+def test_dsl_fork_shares_row_dicts_until_written():
+    eg, math, num, add = dsl_math()
+    eg.run(5)
+    fork = eg.fork()
+    assert fork.engine.registry is eg.engine.registry
+    for name, table in eg.engine.tables.items():
+        assert fork.engine.tables[name].data is table.data
+    fork.add(fork.function_handle("Num")(9))
+    assert fork.engine.tables["Num"].data is not eg.engine.tables["Num"].data
+    assert len(eg.function_handle("Num")) == 2
+
+
+def test_dsl_fork_keeps_callable_merges_and_save_still_refuses(tmp_path):
+    eg = DslEGraph()
+    best = eg.function("best", (i64,), i64, merge=lambda old, new: max(old, new))
+    run_actions(eg.engine, [set_(best(1), 5)], {})
+    fork = eg.fork()
+    fbest = fork.function_handle("best")
+    run_actions(fork.engine, [set_(fbest(1), 3), set_(fbest(1), 8)], {})
+    assert [(k[0].data, v.data) for k, v in fbest.rows()] == [(1, 8)]
+    assert [(k[0].data, v.data) for k, v in best.rows()] == [(1, 5)]
+    with pytest.raises(DslError, match="best"):
+        eg.save(str(tmp_path / "best.json"))
 
 
 # ---------------------------------------------------------------------------

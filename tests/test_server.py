@@ -655,6 +655,31 @@ def test_rollback_after_in_batch_pop_keeps_stack_entries_pristine():
     assert "a" not in s.evaluator.globals and "b" not in s.evaluator.globals
 
 
+def test_rollback_of_a_pop_and_redeclare_keeps_the_pushed_merge():
+    # The rolled-back batch pops and redeclares f with another :merge; the
+    # rollback must leave f's table on the min-merge declaration.
+    mgr = SessionManager()
+    s = mgr.create_session()
+    s.run_egg("(datatype E (A) (B)) (push)")
+    s.run_egg("(function f (E) i64 :merge (min old new)) (set (f (A)) 5) (set (f (B)) 7)")
+    with pytest.raises(ProgramError):
+        s.run_egg("(pop) (function f (E) i64 :merge (max old new)) (check (f (A) (A)))")
+    assert s.run_egg("(union (A) (B)) (run 1) (extract (f (A)))")[-1] == "extract: 5 (cost 0)"
+
+
+def test_committed_batches_keep_compiled_rule_executors():
+    # A batch's capture swaps nothing a compiled executor holds, so the next
+    # committed batch runs each rule through the same RuleExec.
+    mgr = SessionManager()
+    s = mgr.create_session()
+    s.run_egg(TC_PROGRAM + "(run 10)")
+    trans = s.engine.rules["trans"]
+    first = trans.cached_exec
+    assert first is not None
+    s.run_egg("(edge 5 6) (run 10) (check (path 1 6))")
+    assert s.engine.rules["trans"] is trans and trans.cached_exec is first
+
+
 def test_batch_on_passivated_session_lands_on_live_incarnation(tmp_path):
     # The lookup-to-lock race: a session retired between manager.get and
     # the batch acquiring its mutex must transparently redirect to the
