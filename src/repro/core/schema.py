@@ -35,9 +35,14 @@ class FunctionDecl:
         name: unique function symbol.
         arg_sorts: names of the argument sorts.
         out_sort: name of the output sort.
-        merge: how to resolve functional-dependency conflicts.  One of the
-            strings ``"union"`` (only valid for eq-sort outputs) or
-            ``"error"``, or a callable ``(old, new) -> merged``.
+        merge: how to resolve functional-dependency conflicts, as data:
+            ``"union"`` (only valid for eq-sort outputs), ``"error"``, a
+            binary primitive's name, a :class:`~repro.core.terms.Term` over
+            the variables ``old`` and ``new``, or a Python callable
+            ``(old, new) -> merged``.  The engine fills in ``None`` at
+            declaration time (the paper's defaults: union for eq-sorted
+            outputs, error otherwise) and builds the code that runs a merge
+            (``EGraph.merge_fn``).
         default: output for missing keys.  ``None`` means: fresh id for
             eq-sort outputs (the "make-set" default from the paper), unit for
             Unit outputs, and an error for other primitive outputs.  A
@@ -65,11 +70,6 @@ class FunctionDecl:
 
     def __post_init__(self) -> None:
         self.arg_sorts = tuple(self.arg_sorts)
-        if self.merge is None:
-            # The paper's defaults: union for eq-sorted outputs (set by the
-            # engine, which knows the sort kinds); error otherwise.  We leave
-            # None here and let the engine normalize it at declaration time.
-            pass
 
     @property
     def arity(self) -> int:

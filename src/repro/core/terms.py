@@ -13,16 +13,20 @@ A term containing no variables is *ground*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple, Union
-
-from typing import Protocol, runtime_checkable
+from fractions import Fraction
+from typing import Dict, Iterator, List, Protocol, Tuple, Union, runtime_checkable
 
 from .values import Value, from_python
+
+_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
 
 @dataclass(frozen=True)
 class Term:
-    """Base class for terms (patterns)."""
+    """Base class for terms (patterns); ``str()`` prints .egg syntax."""
+
+    def __str__(self) -> str:
+        return format_term(self)
 
     def is_ground(self) -> bool:
         return not any(True for _ in self.variables())
@@ -46,9 +50,6 @@ class TermVar(Term):
     def substitute(self, mapping: Dict[str, Term]) -> Term:
         return mapping.get(self.name, self)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class TermLit(Term):
@@ -61,9 +62,6 @@ class TermLit(Term):
 
     def substitute(self, mapping: Dict[str, Term]) -> Term:
         return self
-
-    def __str__(self) -> str:
-        return repr(self.value.data)
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,6 @@ class TermApp(Term):
 
     def substitute(self, mapping: Dict[str, Term]) -> Term:
         return TermApp(self.func, tuple(a.substitute(mapping) for a in self.args))
-
-    def __str__(self) -> str:
-        if not self.args:
-            return f"({self.func})"
-        return "(" + self.func + " " + " ".join(str(a) for a in self.args) + ")"
 
 
 @runtime_checkable
@@ -155,3 +148,56 @@ def term_depth(term: Term) -> int:
         depth += 1
         level = [arg for node in level if isinstance(node, TermApp) for arg in node.args]
     return depth
+
+
+# ---------------------------------------------------------------------------
+# Printing: the inverse of the .egg reader
+# ---------------------------------------------------------------------------
+
+
+def format_value(value: Value) -> str:
+    """Render a runtime value as .egg literal (or constructor) syntax."""
+    data = value.data
+    if value.sort == "String":
+        body = "".join(_STRING_ESCAPES.get(char, char) for char in str(data))
+        return f'"{body}"'
+    if value.sort == "bool":
+        return "true" if data else "false"
+    if value.sort == "Unit":
+        return "()"
+    if isinstance(data, Fraction):
+        return f"(rational {data.numerator} {data.denominator})"
+    if isinstance(data, frozenset):
+        items = " ".join(sorted(format_value(item) for item in data))
+        return f"(set-of {items})" if items else "(set-empty)"
+    return str(data)
+
+
+def format_term(term: Term) -> str:
+    """Render a term as .egg surface syntax.
+
+    Every printed form parses back to an equal term under the same
+    declarations: strings are re-escaped, booleans print as
+    ``true``/``false``, rationals as a ``(rational n d)`` call, and nullary
+    applications keep their parentheses.  Iterative, so a term may be
+    deeper than the recursion limit.
+    """
+    parts: List[str] = []
+    stack: List[Union[Term, str]] = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, TermVar):
+            parts.append(item.name)
+        elif isinstance(item, TermLit):
+            parts.append(format_value(item.value))
+        elif isinstance(item, TermApp):
+            parts.append("(" + item.func)
+            stack.append(")")
+            for arg in reversed(item.args):
+                stack.append(arg)
+                stack.append(" ")
+        else:
+            raise TypeError(f"cannot format {item!r}")
+    return "".join(parts)

@@ -184,6 +184,9 @@ class EGraph:
             return sort
         if isinstance(sort, str):
             handle = self._sorts.get(sort)
+            if handle is None and sort in self.engine.sorts:
+                self._derive_handles()  # declared through the engine
+                handle = self._sorts.get(sort)
             if handle is None or sort not in self.engine.sorts:
                 known = ", ".join(sorted(self.engine.sorts))
                 raise UnknownSortError(
@@ -296,11 +299,21 @@ class EGraph:
         )
 
     def function_handle(self, name: str) -> Function:
-        """The handle previously declared under ``name`` (for lookups)."""
-        handle = self._functions.get(name)
-        if handle is None or self.engine.decls.get(name) is not handle.decl:
+        """The handle of the function the engine declares under ``name``."""
+        handle = self._live_function(name)
+        if handle is None:
             raise DslError(f"no live function {name!r} declared on this EGraph")
         return handle
+
+    def _live_function(self, name: str) -> Optional[Function]:
+        """The handle of the engine's live ``name``, derived on a miss (the
+        function was declared, or redeclared, through the engine)."""
+        decl = self.engine.decls.get(name)
+        handle = self._functions.get(name)
+        if decl is not None and (handle is None or handle.decl is not decl):
+            self._derive_handles()
+            handle = self._functions.get(name)
+        return handle if decl is not None else None
 
     # -- rules and rulesets ---------------------------------------------------
 
@@ -546,8 +559,8 @@ class EGraph:
                 )
             return Expr(term, expected)
         if isinstance(term, TermApp):
-            handle = self._functions.get(term.func)
-            if handle is not None and self.engine.decls.get(term.func) is handle.decl:
+            handle = self._live_function(term.func)
+            if handle is not None:
                 if len(term.args) != handle.arity:
                     raise ArityError(
                         f"{term.func} expects {handle.arity} argument(s) — "

@@ -12,9 +12,11 @@ An egglog rule (Section 3.1 of the paper) pairs a query with a sequence of
 * :class:`Expr` evaluates an expression for its side effect (inserting the
   term, e.g. asserting a relation fact).
 
-The merge-resolution logic (:func:`resolve_merge` / :func:`set_function_value`)
-lives here and is shared with rebuilding (``repro.engine.rebuild``), which
-must apply the same merge expressions when canonicalized keys collide.
+These records are data: :mod:`repro.engine.program` compiles them, for
+rules and for :func:`run_actions` alike.  :func:`set_function_value` writes
+one row through the function's merge and is shared with rebuilding
+(``repro.engine.rebuild``), which must apply the same merge expressions when
+canonicalized keys collide.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 from ..core.schema import FunctionDecl
 from ..core.terms import Term, TermApp
 from ..core.values import Value
-from .errors import EGraphError, EGraphPanic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .egraph import EGraph
@@ -91,22 +92,8 @@ class Expr(Action):
 
 
 # ---------------------------------------------------------------------------
-# Merge resolution (shared by Set actions and rebuilding)
+# Execution
 # ---------------------------------------------------------------------------
-
-
-def resolve_merge(egraph: "EGraph", decl: FunctionDecl, old: Value, new: Value) -> Value:
-    """Combine conflicting outputs ``old`` and ``new`` per ``decl.merge``.
-
-    ``decl.merge`` has been normalized by the engine at declaration time to
-    ``"union"``, ``"error"``, or a callable ``(old, new) -> Value``.
-    Returns the value that should be stored; raises :class:`MergeError` for
-    ``"error"`` merges and for merge functions that fail.
-
-    The dispatch lives in ``EGraph.merge_fn``, which compiles it once per
-    function into a cached closure; this wrapper is the per-call spelling.
-    """
-    return egraph.merge_fn(decl)(old, new)
 
 
 def set_function_value(
@@ -114,10 +101,12 @@ def set_function_value(
 ) -> bool:
     """Store ``decl.name(key) = new``, applying the merge expression on conflict.
 
-    ``key`` and ``new`` must already be canonical.  Returns True iff the
-    database changed (new row, or the stored output changed).  Changed rows
-    are stamped with the engine's current timestamp so semi-naïve evaluation
-    (Section 4.3) sees them as new.
+    Shared by ``set`` actions and rebuilding, which resolves colliding
+    canonical keys with the same merge.  ``key`` and ``new`` must already be
+    canonical.  Returns True iff the database changed (new row, or the
+    stored output changed).  Changed rows are stamped with the engine's
+    current timestamp so semi-naïve evaluation (Section 4.3) sees them as
+    new.
     """
     table = egraph.tables[decl.name]
     old = table.get(key)
@@ -128,8 +117,7 @@ def set_function_value(
         return True
     if old == new or egraph.canonicalize(old) == egraph.canonicalize(new):
         return False
-    merged = resolve_merge(egraph, decl, old, new)
-    merged = egraph.canonicalize(merged)
+    merged = egraph.canonicalize(egraph.merge_fn(decl)(old, new))
     if merged == old:
         return False
     table.put(key, merged, egraph.timestamp)
@@ -137,54 +125,21 @@ def set_function_value(
     return True
 
 
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
-
-def _eval_call_key(
-    egraph: "EGraph", call: TermApp, subst: Substitution
-) -> Tuple[FunctionDecl, Tuple[Value, ...]]:
-    """Evaluate the argument terms of a Set/Delete target into a canonical key."""
-    decl = egraph.decls.get(call.func)
-    if decl is None:
-        raise EGraphError(f"action targets unknown function {call.func!r}")
-    key = tuple(egraph.canonicalize(egraph.eval_term(a, subst)) for a in call.args)
-    if len(key) != decl.arity:
-        raise EGraphError(
-            f"{call.func} expects {decl.arity} arguments, got {len(key)}"
-        )
-    return decl, key
-
-
 def run_actions(
     egraph: "EGraph", actions: Sequence[Action], subst: Substitution
 ) -> Substitution:
     """Run ``actions`` under ``subst`` against ``egraph``; return final bindings.
 
-    The substitution is copied; ``Let`` extends the copy.  Any expression
-    evaluation uses get-or-default semantics (Section 3.2): terms absent from
-    the database are inserted with the owning function's default output.
+    Compiles the actions through :mod:`repro.engine.program` with one
+    register per binding of ``subst`` and runs them once; ``Let`` adds
+    bindings.  Terms are evaluated get-or-default (Section 3.2): terms
+    absent from the database are inserted with the owning function's
+    default output.
     """
-    subst = dict(subst)
-    for action in actions:
-        if isinstance(action, Let):
-            subst[action.name] = egraph.eval_term(action.expr, subst)
-        elif isinstance(action, Union):
-            lhs = egraph.eval_term(action.lhs, subst)
-            rhs = egraph.eval_term(action.rhs, subst)
-            egraph.union_values(lhs, rhs)
-        elif isinstance(action, Set):
-            decl, key = _eval_call_key(egraph, action.call, subst)
-            value = egraph.canonicalize(egraph.eval_term(action.value, subst))
-            set_function_value(egraph, decl, key, value)
-        elif isinstance(action, Delete):
-            decl, key = _eval_call_key(egraph, action.call, subst)
-            egraph.remove_row(decl.name, key)
-        elif isinstance(action, Panic):
-            raise EGraphPanic(action.message)
-        elif isinstance(action, Expr):
-            egraph.eval_term(action.expr, subst)
-        else:
-            raise EGraphError(f"unknown action {action!r}")
-    return subst
+    from .program import compile_actions  # program imports the records above
+
+    program = compile_actions(
+        egraph, actions, {name: slot for slot, name in enumerate(subst)}, len(subst)
+    )
+    regs = program.execute(tuple(subst.values()))
+    return {name: regs[reg] for name, reg in program.env.items()}  # type: ignore[misc]

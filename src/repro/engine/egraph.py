@@ -24,23 +24,23 @@ expressions and an e-graph engine whose rewrites are rules):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.builtins import PrimitiveRegistry, default_registry
 from ..core.database import Table
 from ..core.proofs import EXPLICIT, Explanation, Justification
 from ..core.query import Query, Substitution
 from ..core.schema import MERGE_ERROR, MERGE_UNION, FunctionDecl, RunReport
-from ..core.terms import Term, TermApp, TermLit, TermLike, TermVar, as_term
+from ..core.terms import SupportsTerm, Term, TermApp, TermLit, TermLike, as_term
 from ..core.unionfind import UnionFind
 from ..core.values import BUILTIN_SORTS, UNIT, UNIT_VALUE, EqSort, Sort, Value, from_python
-from .actions import Action, Delete, Expr, Let, Set, Union
 from .budget import Budget
 from .compilecache import CompiledPlan
 from .errors import CheckError, EGraphError, MergeError
 from .extract import BestNodes
 from .extract import extract as _extract
-from .program import RuleExec
+from .program import RuleExec, compile_actions, compile_term
 from .rebuild import rebuild as _rebuild
 from .rule import DEFAULT_RULESET, CompiledRule, Fact, Rule, compile_facts, compile_rule
 from .rule import birewrite as _birewrite
@@ -49,6 +49,13 @@ from .schedule import Schedule, Seq
 from .scheduler import Scheduler
 
 Key = Tuple[Value, ...]
+
+#: The registers of a term merge's two variables.
+MERGE_SLOTS = {"old": 0, "new": 1}
+
+
+def _call_with_pair(merge: Any, pair: Tuple[Value, Value]) -> Any:
+    return merge(*pair)
 
 
 class EGraph:
@@ -168,21 +175,23 @@ class EGraph:
         return built
 
     def merge_fn(self, decl: FunctionDecl) -> Callable[[Value, Value], Value]:
-        """The compiled merge-resolution closure for ``decl``.
+        """The merge-resolution closure for ``decl``, built once per function.
 
-        Shared by ``set`` actions and rebuilding (both resolve conflicts
-        through :func:`~repro.engine.actions.set_function_value`); the
-        string/callable dispatch of ``resolve_merge`` happens once per
-        function instead of once per conflict.
+        The one place that turns ``decl.merge`` (see
+        :class:`~repro.core.schema.FunctionDecl`) into code; shared by
+        ``set`` actions and rebuilding, which both resolve conflicts
+        through :func:`~repro.engine.actions.set_function_value`.  A term
+        merge compiles through the one evaluator (``repro.engine.program``)
+        with ``old`` and ``new`` in its two slots.
         """
         cached = self._merge_fns.get(decl.name)
         if cached is not None:
             return cached
-        merge = decl.merge
+        merge, name = decl.merge, decl.name
+        fn: Callable[[Value, Value], Value]
         if merge == MERGE_UNION:
             fn = self.union_values
         elif merge == MERGE_ERROR:
-            name = decl.name
 
             def error_merge(old: Value, new: Value) -> Value:
                 raise MergeError(
@@ -191,12 +200,17 @@ class EGraph:
                 )
 
             fn = error_merge
-        elif callable(merge):
-            name = decl.name
-            user_merge = merge
+        else:
+            apply: Callable[[Tuple[Value, Value]], Optional[Value]]
+            if isinstance(merge, str):  # a primitive's name
+                apply = partial(self.registry.call, merge)
+            elif isinstance(merge, Term):
+                apply = compile_term(self, merge, MERGE_SLOTS).value
+            else:  # a Python callable
+                apply = partial(_call_with_pair, merge)
 
             def call_merge(old: Value, new: Value) -> Value:
-                merged = user_merge(old, new)
+                merged = apply((old, new))
                 if merged is None:
                     raise MergeError(
                         f"merge function of {name} failed on {old!r}, {new!r}"
@@ -204,13 +218,6 @@ class EGraph:
                 return merged
 
             fn = call_merge
-        else:
-            name, bad = decl.name, merge
-
-            def bad_merge(old: Value, new: Value) -> Value:
-                raise EGraphError(f"function {name} has unnormalized merge {bad!r}")
-
-            fn = bad_merge
         if merge != MERGE_UNION and self.sorts[decl.out_sort].is_eq_sort:
             resolve = fn
 
@@ -277,10 +284,12 @@ class EGraph:
 
         ``merge`` may be ``None`` (union for eq-sorted outputs, error
         otherwise — the paper's defaults), the strings ``"union"`` or
-        ``"error"``, the name of a binary primitive (e.g. ``"min"``), or a
-        callable ``(old, new) -> Value``.  ``cost`` is the per-node
-        extraction cost, an integer ≥ 1.  ``decl_site`` is free-form
-        provenance (``file:line``) echoed in later diagnostics.
+        ``"error"``, the name of a binary primitive (e.g. ``"min"``), a
+        term over the variables ``old`` and ``new`` (e.g. ``(min old
+        new)``), or a callable ``(old, new) -> Value``, kept as data on
+        ``FunctionDecl.merge``.  ``cost`` is the per-node extraction cost, an
+        integer ≥ 1.  ``decl_site`` is free-form provenance
+        (``file:line``) echoed in later diagnostics.
         """
         if isinstance(cost, bool) or not isinstance(cost, int) or cost < 1:
             # A zero or negative cost lets a node cost no more than its
@@ -340,28 +349,20 @@ class EGraph:
         )
 
     def _normalize_merge(self, name: str, merge: object, out_sort: str) -> object:
+        """Check ``merge`` and return the declaration's form of it."""
         out_is_eq = self.sorts[out_sort].is_eq_sort
         if merge is None:
             return MERGE_UNION if out_is_eq else MERGE_ERROR
-        if merge == MERGE_UNION:
-            if not out_is_eq:
-                raise EGraphError(f"{name!r}: merge=\"union\" requires an eq-sort output")
-            return MERGE_UNION
-        if merge == MERGE_ERROR:
-            return MERGE_ERROR
+        if isinstance(merge, (Term, SupportsTerm)):
+            term = as_term(merge)
+            compile_term(self, term, MERGE_SLOTS)  # symbol and arity errors now
+            return term
+        if merge == MERGE_UNION and not out_is_eq:
+            raise EGraphError(f"{name!r}: merge=\"union\" requires an eq-sort output")
         if isinstance(merge, str):
-            if merge not in self.registry:
+            if merge not in (MERGE_UNION, MERGE_ERROR) and merge not in self.registry:
                 raise EGraphError(f"{name!r}: merge primitive {merge!r} is not registered")
-            registry = self.registry
-            prim_name = merge
-
-            def prim_merge(old: Value, new: Value) -> Optional[Value]:
-                return registry.call(prim_name, (old, new))
-
-            # The primitive's name rides on the closure so snapshots can
-            # serialize the merge as a name rather than an opaque callable.
-            prim_merge.__repro_prim__ = prim_name  # type: ignore[attr-defined]
-            return prim_merge
+            return merge
         if callable(merge):
             return merge
         raise EGraphError(f"{name!r}: cannot interpret merge {merge!r}")
@@ -426,65 +427,7 @@ class EGraph:
         self._reason = reason
         return previous
 
-    # -- term evaluation ------------------------------------------------------
-
-    def eval_term(
-        self,
-        term: Term,
-        subst: Optional[Dict[str, Value]] = None,
-        *,
-        insert: bool = True,
-    ) -> Optional[Value]:
-        """Evaluate a term bottom-up against the database.
-
-        With ``insert=True`` (the paper's get-or-default, §3.2) an
-        application missing from its table is added with the function's
-        default output — a fresh e-class id for eq-sorted outputs.  With
-        ``insert=False`` the evaluation is a pure lookup and returns None as
-        soon as any sub-term is absent.
-        """
-        if isinstance(term, TermLit):
-            return term.value
-        if isinstance(term, TermVar):
-            if subst is None or term.name not in subst:
-                raise EGraphError(f"unbound variable {term.name!r} in term evaluation")
-            return self.canonicalize(subst[term.name])
-        if isinstance(term, TermApp):
-            decl = self.decls.get(term.func)
-            if decl is not None:
-                self._check_arity(decl, len(term.args), term)
-            args: List[Value] = []
-            for arg in term.args:
-                value = self.eval_term(arg, subst, insert=insert)
-                if value is None:
-                    return None
-                args.append(self.canonicalize(value))
-            if decl is not None:
-                return self._apply_function(decl, tuple(args), insert)
-            result = self.registry.call(term.func, tuple(args))
-            if result is None:
-                if insert:
-                    raise EGraphError(
-                        f"primitive {term.func!r} failed on {tuple(args)!r}"
-                    )
-                return None
-            return result
-        raise EGraphError(f"cannot evaluate {term!r}")
-
-    def _apply_function(
-        self, decl: FunctionDecl, key: Key, insert: bool
-    ) -> Optional[Value]:
-        table = self.tables[decl.name]
-        existing = table.get(key)
-        if existing is not None:
-            return self.canonicalize(existing)
-        if not insert:
-            return None
-        value = self._default_value(decl, key)
-        table.put(key, self.canonicalize(value), self.timestamp)
-        self.record_node(decl.name, key, value)
-        self.note_update()
-        return value
+    # -- ground terms ---------------------------------------------------------
 
     def record_node(self, func: str, key: Key, value: Value) -> None:
         """Log an eq-sorted insertion's raw output id for proof production.
@@ -519,23 +462,39 @@ class EGraph:
         return from_python(default)
 
     def add(self, term: TermLike) -> Value:
-        """Insert a ground term (and all sub-terms); return its value."""
-        value = self.eval_term(as_term(term))
-        assert value is not None  # insert=True never returns None
+        """Insert a ground term (and all sub-terms); return its value.
+
+        Evaluation is get-or-default (§3.2): an application absent from
+        its table is inserted with its function's default output — a fresh
+        e-class id for eq-sorted outputs, which is how e-nodes are
+        hash-consed into the database.
+        """
+        (value,) = self._evaluate(term)
+        assert value is not None  # only a lookup answers None
         return value
 
     def lookup(self, term: TermLike) -> Optional[Value]:
         """Pure lookup of a ground term; None if any sub-term is absent."""
-        self._ensure_canonical()
-        return self.eval_term(as_term(term), insert=False)
+        return self._evaluate(term, lookup=True)[0]
+
+    def _evaluate(self, *terms: TermLike, lookup: bool = False) -> List[Optional[Value]]:
+        """The values of ground terms, all compiled before any runs; a
+        lookup rebuilds first, writes nothing and answers None for an
+        absent term."""
+        if lookup:
+            self._ensure_canonical()
+        programs = [compile_term(self, as_term(term), lookup=lookup) for term in terms]
+        return [program.value() for program in programs]
 
     def union(self, lhs: TermLike, rhs: TermLike) -> Value:
         """Assert that two ground terms denote the same e-class (§3.3)."""
-        return self.union_values(self.add(lhs), self.add(rhs))
+        a, b = self._evaluate(lhs, rhs)
+        assert a is not None and b is not None  # only a lookup answers None
+        return self.union_values(a, b)
 
     def are_equal(self, lhs: TermLike, rhs: TermLike) -> bool:
         """True iff both terms are present and denote equal (canonical) values."""
-        a, b = self.lookup(lhs), self.lookup(rhs)
+        a, b = self._evaluate(lhs, rhs, lookup=True)
         if a is None or b is None:
             return False
         return self.canonicalize(a) == self.canonicalize(b)
@@ -547,8 +506,7 @@ class EGraph:
         compiled = compile_rule(rule, self.is_table, default_name=f"rule#{len(self.rules)}")
         if compiled.name in self.rules:
             raise EGraphError(f"rule {compiled.name!r} already registered")
-        self._validate_symbols(compiled.query, f"rule {compiled.name!r}")
-        self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
+        self._validate_rule(compiled)
         self.rules[compiled.name] = compiled
         self.rulesets.setdefault(compiled.ruleset, []).append(compiled.name)
         return compiled.name
@@ -578,8 +536,7 @@ class EGraph:
                 f"{existing.ruleset!r} to {rule.ruleset!r} while replacing it"
             )
         compiled = compile_rule(rule, self.is_table, default_name=rule.name)
-        self._validate_symbols(compiled.query, f"rule {compiled.name!r}")
-        self._validate_actions(compiled.actions, f"rule {compiled.name!r}")
+        self._validate_rule(compiled)
         self.rules[compiled.name] = compiled
         return compiled.name
 
@@ -791,33 +748,21 @@ class EGraph:
                     f"(neither a declared function nor a primitive)"
                 )
 
-    def _validate_actions(self, actions: Sequence[Action], context: str) -> None:
-        """Reject typo'd symbols in action terms at registration time.
+    def _validate_rule(self, rule: CompiledRule) -> None:
+        """Reject a rule whose body or actions use an unknown symbol or
+        apply a function to the wrong number of arguments.
 
-        Without this, an unknown application in an action would only fail
-        (as a misleading "primitive failed" error) the first time the rule
-        fires — or never, if the rule body never matches.
+        Without this, a typo'd action symbol would only fail the first time
+        the rule fires — or never, if its body never matches.  The actions
+        are checked by compiling them: the compiler is the one place that
+        resolves the symbols of action terms.
         """
-        for action in actions:
-            terms: List[Term] = []
-            if isinstance(action, Let):
-                terms = [action.expr]
-            elif isinstance(action, Union):
-                terms = [action.lhs, action.rhs]
-            elif isinstance(action, Set):
-                self._require_table(action.call.func, context)
-                terms = [action.call, action.value]
-            elif isinstance(action, Delete):
-                self._require_table(action.call.func, context)
-                terms = [action.call]
-            elif isinstance(action, Expr):
-                terms = [action.expr]
-            for term in terms:
-                self._validate_term_symbols(term, context)
-
-    def _require_table(self, name: str, context: str) -> None:
-        if name not in self.decls:
-            raise EGraphError(f"{context} targets unknown function {name!r}")
+        context = f"rule {rule.name!r}"
+        self._validate_symbols(rule.query, context)
+        try:
+            compile_actions(self, rule.actions, {}, 0)
+        except EGraphError as error:
+            raise EGraphError(f"{context}: {error}") from None
 
     @staticmethod
     def _check_arity(decl: FunctionDecl, n_args: int, context: object) -> None:
@@ -829,19 +774,6 @@ class EGraph:
                 f"{context}: {decl.name!r} expects {decl.arity} argument(s), "
                 f"got {n_args}"
             )
-
-    def _validate_term_symbols(self, term: Term, context: str) -> None:
-        if isinstance(term, TermApp):
-            decl = self.decls.get(term.func)
-            if decl is not None:
-                self._check_arity(decl, len(term.args), context)
-            elif term.func not in self.registry:
-                raise EGraphError(
-                    f"{context} uses unknown symbol {term.func!r} "
-                    f"(neither a declared function nor a primitive)"
-                )
-            for arg in term.args:
-                self._validate_term_symbols(arg, context)
 
     def query(self, *facts: Fact) -> List[Substitution]:
         """Match term-level facts against the database; return substitutions."""
@@ -884,8 +816,7 @@ class EGraph:
         are returned as literals of cost 0.
         """
         self._ensure_canonical()
-        value = self.eval_term(as_term(term))
-        assert value is not None
+        value = self.add(term)
         if value.sort not in self._eq_sorts:
             return 0, TermLit(value)
         return _extract(self, value)
@@ -907,12 +838,10 @@ class EGraph:
             raise EGraphError(
                 "proofs are disabled on this EGraph (construct with proofs=True)"
             )
-        self._ensure_canonical()
         lt, rt = as_term(lhs), as_term(rhs)
-        a = self.eval_term(lt, insert=False)
+        a, b = self._evaluate(lt, rt, lookup=True)
         if a is None:
             raise EGraphError(f"explain: term {lt} is not in the e-graph")
-        b = self.eval_term(rt, insert=False)
         if b is None:
             raise EGraphError(f"explain: term {rt} is not in the e-graph")
         sort = a.sort
@@ -941,35 +870,41 @@ class EGraph:
     def _node_of(self, term: Term) -> Optional[Value]:
         """Resolve a ground term to its original e-node value (raw id).
 
-        Children resolve recursively to raw node ids; the exact raw key hits
+        Children resolve, bottom-up, to raw node ids; the exact raw key hits
         the proof log when the term was inserted before its children were
         merged away.  Otherwise the current row under the canonical key
-        supplies a (still class-correct) member id.
+        supplies a (still class-correct) member id.  A primitive
+        application is looked up like any term.
         """
-        if isinstance(term, TermLit):
-            return term.value
-        if not isinstance(term, TermApp):
-            raise EGraphError(f"explain requires a ground term, got {term!r}")
-        decl = self.decls.get(term.func)
-        if decl is None:
-            return self.eval_term(term, insert=False)  # primitive application
-        args: List[Value] = []
-        for arg in term.args:
-            value = self._node_of(arg)
-            if value is None:
-                return None
-            args.append(value)
-        raw_key = tuple(args)
+        done: List[Optional[Value]] = []
+        stack: List[Tuple[Term, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, TermLit):
+                done.append(node.value)
+            elif not isinstance(node, TermApp):
+                raise EGraphError(f"explain requires a ground term, got {node!r}")
+            elif node.func not in self.decls:
+                done.append(self.lookup(node))
+            elif not expanded:
+                stack.append((node, True))
+                stack.extend((arg, False) for arg in reversed(node.args))
+            else:
+                start = len(done) - len(node.args)
+                raw_key = tuple(done[start:])
+                del done[start:]
+                done.append(self._raw_node(node.func, raw_key))  # type: ignore[arg-type]
+        return done[0]
+
+    def _raw_node(self, func: str, raw_key: Key) -> Optional[Value]:
+        if any(value is None for value in raw_key):
+            return None
         log = self._proof_log
         if log is not None:
-            hit = log.get((term.func, raw_key))
+            hit = log.get((func, raw_key))
             if hit is not None:
                 return hit
-        canon_key = tuple([self.canonicalize(v) for v in raw_key])
-        table = self.tables.get(term.func)
-        if table is None:
-            return None
-        return table.get(canon_key)
+        return self.tables[func].get(tuple([self.canonicalize(v) for v in raw_key]))
 
     # -- persistence (repro.serialize) -----------------------------------------
 

@@ -1,35 +1,48 @@
-"""Compiled action programs: the apply-phase hot path.
+"""The one term evaluator: terms and actions compiled to flat register ops.
 
-The interpreted :func:`repro.engine.actions.run_actions` walks the action
-dataclasses with ``isinstance`` dispatch and re-evaluates every term tree
-per match, copying a dict substitution as it goes.  A compiled rule fires
-its actions once per match, potentially millions of times, against the same
-action *structure* — so this module lowers a rule's action list once into a
-flat program of closures over integer register indices:
+Every term the engine evaluates runs here: a rule's actions once per match,
+top-level ``add``/``union``/``set``/``delete`` (through
+:func:`~repro.engine.actions.run_actions`), ``lookup``/``are_equal``/
+``explain``, the input of ``extract``, ``query-extract`` once per match, and
+``:merge`` expressions (``EGraph.merge_fn``).  A term has one meaning
+wherever it appears: get-or-default evaluation (§3.2), where an application
+absent from its table is inserted with its function's default output.
 
-* every query variable already has a slot (``repro.core.compile``); a
-  match tuple *is* the initial register file;
-* ``let`` bindings get registers of their own (re-using the variable's
-  register when a let shadows a query variable, exactly like the
-  interpreted dict overwrite);
-* terms compile to nested closures — a variable read is ``regs[i]`` plus
-  canonicalization, an application resolves its
-  :class:`~repro.core.schema.FunctionDecl` and table once at compile time
-  and performs the paper's get-or-default insertion inline.
+Compilation walks each term with an explicit stack and emits one op per
+application, so neither compiling nor running recurses once per term level:
 
-The program shares the engine's compiled merge-resolution path
-(``EGraph.merge_fn``) with rebuilding via
-:func:`~repro.engine.actions.set_function_value`, so a ``set`` conflict and
-a congruence repair resolve merges through the same cached closure.
+* the registers start with the match tuple — every query variable already
+  has a slot (``repro.core.compile``) — followed by one register per
+  literal, pre-filled with its value, and one per op result;
+* an op is an instruction and two operands, ``(fn, a, b)``: an application
+  reads its argument registers through a key getter ``a`` and writes its
+  result to the fresh register ``b``.  An instruction closes over the
+  engine and one function's table; a program makes it once and shares it
+  among its ops.  There is no engine-wide cache of instructions, so a
+  one-shot program and its instructions are freed together;
+* a per-register canonical flag records which registers hold canonical
+  values (non-eq literals, constructor and lookup results).  An op that
+  needs a canonical argument from any other register — a variable, a
+  primitive result — reads a copy that a ``canon`` op made, once per
+  action: flags hold within one action, since the next may union;
+* ``let`` binds its name to the register of its value.
 
-Compiled programs are cached per rule and invalidated by the engine's
-compile epoch, which every restore bumps (pop, rollback, a fork's child);
-a replaced rule starts with none — see ``EGraph.rule_exec``.
+In *lookup mode* (``compile_term(..., lookup=True)``) an application reads
+its row and never inserts: an absent row or a failing primitive ends the
+program with ``None``, and nothing is written.  Symbol and arity errors
+are raised while compiling, before any op runs; an unbound variable is an
+error only when its op runs, since a rule may never fire.
+
+Rule programs are cached per rule and invalidated by the engine's compile
+epoch, which every restore bumps (pop, rollback, a fork's child); a
+replaced rule starts with none — see ``EGraph.rule_exec``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.compile import MatchTuple
 from ..core.proofs import Justification, rule_justification
@@ -45,191 +58,325 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .rule import CompiledRule
 
 Regs = List[Optional[Value]]
-TermFn = Callable[[Regs], Value]
-OpFn = Callable[[Regs], None]
+Instruction = Callable[[Regs, Any, Any], None]
+Op = Tuple[Instruction, Any, Any]
+KeyFn = Callable[[Regs], Tuple[Value, ...]]
+#: Makes an instruction for one engine and a name (function, primitive or
+#: union justification).
+Maker = Callable[["EGraph", Any], Instruction]
 
 
-def _canon_args(egraph: "EGraph", arg_fns: Tuple[TermFn, ...]) -> Tuple[TermFn, ...]:
-    """Wrap argument evaluators so every result is canonical.
-
-    Evaluators whose results are canonical by construction (variable reads,
-    constructor applications, non-eq literals — marked with a
-    ``canonical`` attribute) pass through unwrapped, skipping the redundant
-    canonicalize call the interpreter pays per argument per match.
-    """
-    canonicalize = egraph.canonicalize
-    wrapped: List[TermFn] = []
-    for fn in arg_fns:
-        if getattr(fn, "canonical", False):
-            wrapped.append(fn)
-        else:
-            wrapped.append(lambda regs, f=fn, c=canonicalize: c(f(regs)))
-    return tuple(wrapped)
+class _Absent(EGraphError):
+    """No row, or no primitive result: a lookup answers None, and any other
+    program fails with this error."""
 
 
-def compile_term(egraph: "EGraph", term: Term, env: Dict[str, int]) -> TermFn:
-    """Lower ``term`` to a closure ``regs -> Value``.
-
-    Mirrors ``EGraph.eval_term`` with ``insert=True`` (get-or-default,
-    §3.2), but resolves declarations, tables, and register indices once.
-    An unbound variable compiles to a closure raising the same error the
-    interpreter raises at evaluation time — the rule may never fire.
-    """
-    if isinstance(term, TermLit):
-        value = term.value
-
-        def lit(regs: Regs) -> Value:
-            return value
-
-        lit.canonical = value.sort not in egraph._eq_sorts  # type: ignore[attr-defined]
-        return lit
-    if isinstance(term, TermVar):
-        reg = env.get(term.name)
-        if reg is None:
-            name = term.name
-
-            def unbound(regs: Regs) -> Value:
-                raise EGraphError(f"unbound variable {name!r} in term evaluation")
-
-            unbound.canonical = True  # type: ignore[attr-defined]
-            return unbound
-        canonicalize = egraph.canonicalize
-        index = reg
-
-        def var(regs: Regs) -> Value:
-            return canonicalize(regs[index])  # type: ignore[arg-type]
-
-        var.canonical = True  # type: ignore[attr-defined]
-        return var
-    if isinstance(term, TermApp):
-        arg_fns = _canon_args(
-            egraph, tuple(compile_term(egraph, arg, env) for arg in term.args)
-        )
-        canonicalize = egraph.canonicalize
-        decl = egraph.decls.get(term.func)
-        if decl is None:
-            registry_call = egraph.registry.call
-            op_name = term.func
-
-            def prim(regs: Regs) -> Value:
-                args = tuple([fn(regs) for fn in arg_fns])
-                result = registry_call(op_name, args)
-                if result is None:
-                    raise EGraphError(
-                        f"primitive {op_name!r} failed on {args!r}"
-                    )
-                return result
-
-            return prim
-        table = egraph.tables[decl.name]
-        table_get = table.get
-        table_put = table.put
-        note_update = egraph.note_update
-        out_is_eq = egraph.sorts[decl.out_sort].is_eq_sort
-
-        if decl.default is None and decl.out_sort == UNIT:
-            # Unit relation: the default is the unit value, which is its own
-            # canonical form — no default dispatch, no canonicalization.
-            def assert_fact(regs: Regs) -> Value:
-                key = tuple([fn(regs) for fn in arg_fns])
-                existing = table_get(key)
-                if existing is not None:
-                    return existing
-                table_put(key, UNIT_VALUE, egraph.timestamp)
-                note_update()
-                return UNIT_VALUE
-
-            assert_fact.canonical = True  # type: ignore[attr-defined]
-            return assert_fact
-        record_node = egraph.record_node
-        func_name = decl.name
-        if decl.default is None and out_is_eq:
-            # Constructor/eq-sorted function: the default is a fresh e-class
-            # id (the paper's make-set default), canonical by construction.
-            make_id = egraph.make_id
-            out_sort = decl.out_sort
-
-            def construct(regs: Regs) -> Value:
-                key = tuple([fn(regs) for fn in arg_fns])
-                existing = table_get(key)
-                if existing is not None:
-                    return canonicalize(existing)
-                value = make_id(out_sort)
-                table_put(key, value, egraph.timestamp)
-                record_node(func_name, key, value)
-                note_update()
-                return value
-
-            construct.canonical = True  # type: ignore[attr-defined]
-            return construct
-        default_value = egraph._default_value
-
-        def app(regs: Regs) -> Value:
-            key = tuple([fn(regs) for fn in arg_fns])
-            existing = table_get(key)
-            if existing is not None:
-                return canonicalize(existing) if out_is_eq else existing
-            value = default_value(decl, key)
-            table_put(key, canonicalize(value), egraph.timestamp)
-            record_node(func_name, key, value)
-            note_update()
-            return value
-
-        return app
-    raise EGraphError(f"cannot evaluate {term!r}")
+@lru_cache(maxsize=4096)
+def _key_of(regs: Tuple[int, ...]) -> KeyFn:
+    """A function reading the registers ``regs`` as a tuple (shared)."""
+    if len(regs) > 1:
+        return itemgetter(*regs)  # type: ignore[return-value]
+    if regs:
+        only = regs[0]
+        return lambda values: (values[only],)  # type: ignore[return-value]
+    return lambda values: ()
 
 
-def _compile_call_key(
-    egraph: "EGraph", call: TermApp, env: Dict[str, int]
-) -> Tuple[object, Callable[[Regs], Tuple[Value, ...]]]:
-    """Compile a Set/Delete target into (decl, canonical-key builder).
+# -- instructions -------------------------------------------------------------
 
-    Unknown functions and arity mismatches compile to closures raising the
-    interpreter's fire-time errors (registration-time validation normally
-    rules them out; stale rules after a pop are caught by the epoch).
-    """
-    decl = egraph.decls.get(call.func)
-    if decl is None:
-        func = call.func
 
-        def missing(regs: Regs) -> Tuple[Value, ...]:
-            raise EGraphError(f"action targets unknown function {func!r}")
+def _canon(egraph: "EGraph", _name: None) -> Instruction:
+    def canon(regs: Regs, src: int, dst: int) -> None:
+        regs[dst] = egraph.canonicalize(regs[src])  # type: ignore[arg-type]
 
-        return None, missing
-    if len(call.args) != decl.arity:
-        func, expected, got = call.func, decl.arity, len(call.args)
+    return canon
 
-        def bad_arity(regs: Regs) -> Tuple[Value, ...]:
-            raise EGraphError(f"{func} expects {expected} arguments, got {got}")
 
-        return None, bad_arity
-    arg_fns = _canon_args(
-        egraph, tuple(compile_term(egraph, arg, env) for arg in call.args)
-    )
+def _prim(egraph: "EGraph", name: str) -> Instruction:
+    registry = egraph.registry
 
-    def key_of(regs: Regs) -> Tuple[Value, ...]:
-        return tuple([fn(regs) for fn in arg_fns])
+    def prim(regs: Regs, key_of: KeyFn, out: int) -> None:
+        args = key_of(regs)
+        result = registry.call(name, args)
+        if result is None:
+            raise _Absent(f"primitive {name!r} failed on {args!r}")
+        regs[out] = result
 
-    return decl, key_of
+    return prim
+
+
+def _find(egraph: "EGraph", func: str) -> Instruction:
+    table = egraph.tables[func]
+
+    def find(regs: Regs, key_of: KeyFn, out: int) -> None:
+        existing = table.get(key_of(regs))
+        if existing is None:
+            raise _Absent
+        regs[out] = egraph.canonicalize(existing)
+
+    return find
+
+
+def _assert(egraph: "EGraph", func: str) -> Instruction:
+    table = egraph.tables[func]
+
+    def assert_fact(regs: Regs, key_of: KeyFn, out: int) -> None:
+        # A unit relation's output is the pre-filled unit value.
+        key = key_of(regs)
+        if table.get(key) is None:
+            table.put(key, UNIT_VALUE, egraph.timestamp)
+            egraph.note_update()
+
+    return assert_fact
+
+
+def _construct(egraph: "EGraph", func: str) -> Instruction:
+    table, out_sort = egraph.tables[func], egraph.decls[func].out_sort
+
+    def construct(regs: Regs, key_of: KeyFn, out: int) -> None:
+        # The default is a fresh e-class id (the paper's make-set default).
+        key = key_of(regs)
+        existing = table.get(key)
+        if existing is not None:
+            regs[out] = egraph.canonicalize(existing)
+            return
+        value = egraph.make_id(out_sort)
+        table.put(key, value, egraph.timestamp)
+        egraph.record_node(func, key, value)
+        egraph.note_update()
+        regs[out] = value
+
+    return construct
+
+
+def _get_or_default(egraph: "EGraph", func: str) -> Instruction:
+    table, decl = egraph.tables[func], egraph.decls[func]
+
+    def get_or_default(regs: Regs, key_of: KeyFn, out: int) -> None:
+        key = key_of(regs)
+        existing = table.get(key)
+        if existing is not None:
+            regs[out] = egraph.canonicalize(existing)
+            return
+        value = egraph._default_value(decl, key)
+        table.put(key, egraph.canonicalize(value), egraph.timestamp)
+        egraph.record_node(func, key, value)
+        egraph.note_update()
+        regs[out] = value
+
+    return get_or_default
+
+
+def _union(egraph: "EGraph", reason: Optional[Justification]) -> Instruction:
+    union_values = egraph.union_values
+
+    def union(regs: Regs, lhs: int, rhs: int) -> None:
+        union_values(regs[lhs], regs[rhs], reason)  # type: ignore[arg-type]
+
+    return union
+
+
+def _set(egraph: "EGraph", func: str) -> Instruction:
+    decl = egraph.decls[func]
+
+    def set_value(regs: Regs, key_of: KeyFn, value: int) -> None:
+        set_function_value(egraph, decl, key_of(regs), regs[value])  # type: ignore[arg-type]
+
+    return set_value
+
+
+def _delete(egraph: "EGraph", func: str) -> Instruction:
+    remove_row = egraph.remove_row
+
+    def delete(regs: Regs, key_of: KeyFn, _unused: None) -> None:
+        remove_row(func, key_of(regs))
+
+    return delete
+
+
+def _panic(regs: Regs, message: str, _unused: None) -> None:
+    raise EGraphPanic(message)
+
+
+def _unbound(regs: Regs, name: str, _unused: None) -> None:
+    raise EGraphError(f"unbound variable {name!r} in term evaluation")
 
 
 class ActionProgram:
-    """A rule's actions lowered to straight-line register opcodes."""
+    """Straight-line register ops; see the module docstring.
 
-    __slots__ = ("ops", "n_slots", "_pad")
+    ``env`` maps every bound name (match slots and ``let``s) to its
+    register, and ``result`` is the register of the last term compiled.
+    """
 
-    def __init__(self, ops: Tuple[OpFn, ...], n_slots: int, n_regs: int) -> None:
+    __slots__ = ("ops", "_pad", "env", "result", "lookup")
+
+    def __init__(
+        self, ops: Tuple[Op, ...], pad: Regs, env: Dict[str, int], result: int, lookup: bool
+    ) -> None:
         self.ops = ops
-        self.n_slots = n_slots
-        self._pad: Regs = [None] * (n_regs - n_slots)
+        self._pad = pad
+        self.env = env
+        self.result = result
+        self.lookup = lookup
 
-    def execute(self, match: MatchTuple) -> None:
-        """Fire the compiled actions under ``match`` (one tuple, slot order)."""
-        regs = list(match)
+    def execute(self, match: MatchTuple = ()) -> Regs:
+        """Run the ops under ``match`` (one tuple, slot order); the registers."""
+        regs: Regs = list(match)
         if self._pad:
             regs.extend(self._pad)
-        for op in self.ops:
-            op(regs)
+        for fn, a, b in self.ops:
+            fn(regs, a, b)
+        return regs
+
+    def value(self, match: MatchTuple = ()) -> Optional[Value]:
+        """The value of the program's term; None when a lookup misses."""
+        try:
+            return self.execute(match)[self.result]
+        except _Absent:
+            if self.lookup:
+                return None
+            raise
+
+
+class _Compiler:
+    """One program under construction: its ops, registers and flags."""
+
+    def __init__(
+        self, egraph: "EGraph", slot_of: Dict[str, int], n_slots: int, lookup: bool = False
+    ) -> None:
+        self.egraph = egraph
+        self.lookup = lookup
+        self.env = dict(slot_of)
+        self.n_slots = n_slots
+        self.ops: List[Op] = []
+        self.pad: Regs = []
+        #: Register -> register holding its canonical value, this action.
+        self.canon: Dict[int, int] = {}
+        #: Instructions made so far, shared by every op that uses one.
+        self.made: Dict[Tuple[Maker, Any], Instruction] = {}
+        self.result = -1
+
+    def emit(self, maker: Maker, name: Any, a: Any, b: Any) -> None:
+        """Append an op running ``maker``'s instruction for ``name``."""
+        fn = self.made.get((maker, name))
+        if fn is None:
+            fn = self.made[(maker, name)] = maker(self.egraph, name)
+        self.ops.append((fn, a, b))
+
+    def reg(self, value: Optional[Value] = None) -> int:
+        """A fresh register, pre-filled with ``value``."""
+        self.pad.append(value)
+        return self.n_slots + len(self.pad) - 1
+
+    def canonical(self, reg: int) -> int:
+        """A register holding the canonical form of ``reg``'s value."""
+        got = self.canon.get(reg)
+        if got is None:
+            got = self.canon[reg] = self.reg()
+            self.canon[got] = got
+            self.emit(_canon, None, reg, got)
+        return got
+
+    def term(self, term: Term) -> int:
+        """Emit the ops computing ``term``; the register of its value.
+
+        Post-order, left to right: arguments are evaluated (and inserted)
+        in the order the paper's bottom-up evaluation visits them.  That
+        order is a pre-order visiting children right to left, reversed.
+        """
+        order: List[Term] = []
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if isinstance(node, TermApp):
+                stack.extend(node.args)
+        done: List[int] = []
+        for node in reversed(order):
+            if isinstance(node, TermApp):
+                start = len(done) - len(node.args)
+                args = done[start:]
+                del done[start:]
+                done.append(self.apply(node, args))
+            elif isinstance(node, TermLit):
+                reg = self.reg(node.value)
+                if node.value[0] not in self.egraph._eq_sorts:  # type: ignore[index]
+                    self.canon[reg] = reg
+                done.append(reg)
+            elif isinstance(node, TermVar):
+                reg = self.env.get(node.name, -1)
+                if reg < 0:
+                    reg = self.reg()
+                    self.ops.append((_unbound, node.name, None))
+                done.append(reg)
+            else:
+                raise EGraphError(f"cannot evaluate {node!r}")
+        self.result = done[0]
+        return done[0]
+
+    def apply(self, node: TermApp, args: List[int]) -> int:
+        """Emit the op of one application over argument registers ``args``."""
+        egraph = self.egraph
+        decl = egraph.decls.get(node.func)
+        if decl is None and node.func not in egraph.registry:
+            raise EGraphError(
+                f"{node} uses unknown symbol {node.func!r} "
+                f"(neither a declared function nor a primitive)"
+            )
+        if decl is not None and len(args) != decl.arity:
+            egraph._check_arity(decl, len(args), node)
+        canon = self.canon
+        key_of = _key_of(tuple([canon[r] if r in canon else self.canonical(r) for r in args]))
+        maker: Maker
+        if decl is None:
+            maker, canonical = _prim, False
+        elif self.lookup:
+            maker, canonical = _find, True
+        elif decl.default is None and decl.out_sort == UNIT:
+            maker, canonical = _assert, True
+        elif decl.default is None and decl.out_sort in egraph._eq_sorts:
+            maker, canonical = _construct, True
+        else:
+            maker, canonical = _get_or_default, False
+        out = self.reg(UNIT_VALUE if maker is _assert else None)
+        if canonical:
+            canon[out] = out
+        self.emit(maker, node.func, key_of, out)
+        return out
+
+    def target(self, call: TermApp) -> KeyFn:
+        """Compile a set/delete target's arguments into a canonical key."""
+        decl = self.egraph.decls.get(call.func)
+        if decl is None:
+            raise EGraphError(f"action targets unknown function {call.func!r}")
+        if len(call.args) != decl.arity:
+            self.egraph._check_arity(decl, len(call.args), call)
+        return _key_of(tuple([self.canonical(self.term(arg)) for arg in call.args]))
+
+    def action(self, action: Action, reason: Optional[Justification]) -> None:
+        self.canon = {}  # the previous action may have unioned
+        if isinstance(action, Let):
+            self.env[action.name] = self.term(action.expr)
+        elif isinstance(action, Expr):
+            self.term(action.expr)
+        elif isinstance(action, Union):
+            lhs = self.canonical(self.term(action.lhs))
+            rhs = self.canonical(self.term(action.rhs))
+            self.emit(_union, reason, lhs, rhs)
+        elif isinstance(action, SetAction):
+            key_of = self.target(action.call)
+            value = self.canonical(self.term(action.value))
+            self.emit(_set, action.call.func, key_of, value)
+        elif isinstance(action, Delete):
+            self.emit(_delete, action.call.func, self.target(action.call), None)
+        elif isinstance(action, Panic):
+            self.ops.append((_panic, action.message, None))
+        else:
+            raise EGraphError(f"unknown action {action!r}")
+
+    def program(self) -> ActionProgram:
+        return ActionProgram(tuple(self.ops), self.pad, self.env, self.result, self.lookup)
 
 
 def compile_actions(
@@ -239,95 +386,37 @@ def compile_actions(
     n_slots: int,
     reason: Optional[Justification] = None,
 ) -> ActionProgram:
-    """Lower ``actions`` into an :class:`ActionProgram` over rule slots.
+    """Lower ``actions`` into an :class:`ActionProgram` over ``n_slots`` slots.
 
     ``reason`` is baked into every compiled union op so the proof forest
-    records fire-time rule identity even though the closure outlives the
+    records fire-time rule identity even though the program outlives the
     compilation — it shares the executor cache's lifetime (compile epoch),
     so a replaced rule's fresh executor carries the fresh justification.
+    Without one, unions take the engine's ambient reason.
     """
-    env = dict(slot_of)
-    n_regs = n_slots
-    ops: List[OpFn] = []
+    compiler = _Compiler(egraph, slot_of, n_slots)
     for action in actions:
-        if isinstance(action, Let):
-            reg = env.get(action.name)
-            if reg is None:
-                reg = n_regs
-                n_regs += 1
-            expr_fn = compile_term(egraph, action.expr, env)
-            env[action.name] = reg
-            index = reg
+        compiler.action(action, reason)
+    return compiler.program()
 
-            def let_op(regs: Regs, fn: TermFn = expr_fn, i: int = index) -> None:
-                regs[i] = fn(regs)
 
-            ops.append(let_op)
-        elif isinstance(action, Union):
-            lhs_fn = compile_term(egraph, action.lhs, env)
-            rhs_fn = compile_term(egraph, action.rhs, env)
-            union_values = egraph.union_values
+def compile_term(
+    egraph: "EGraph",
+    term: Term,
+    slot_of: Optional[Dict[str, int]] = None,
+    *,
+    lookup: bool = False,
+) -> ActionProgram:
+    """Lower one term; ``program.value(match)`` evaluates it.
 
-            def union_op(
-                regs: Regs,
-                lf: TermFn = lhs_fn,
-                rf: TermFn = rhs_fn,
-                why: Optional[Justification] = reason,
-            ) -> None:
-                union_values(lf(regs), rf(regs), why)
-
-            ops.append(union_op)
-        elif isinstance(action, SetAction):
-            decl, key_fn = _compile_call_key(egraph, action.call, env)
-            (value_fn,) = _canon_args(
-                egraph, (compile_term(egraph, action.value, env),)
-            )
-
-            def set_op(
-                regs: Regs,
-                d: object = decl,
-                kf: Callable[[Regs], Tuple[Value, ...]] = key_fn,
-                vf: TermFn = value_fn,
-            ) -> None:
-                key = kf(regs)  # raises for unknown function / bad arity
-                set_function_value(egraph, d, key, vf(regs))  # type: ignore[arg-type]
-
-            ops.append(set_op)
-        elif isinstance(action, Delete):
-            _decl, key_fn = _compile_call_key(egraph, action.call, env)
-            remove_row = egraph.remove_row
-
-            def delete_op(
-                regs: Regs,
-                kf: Callable[[Regs], Tuple[Value, ...]] = key_fn,
-                func: str = action.call.func,
-            ) -> None:
-                # kf raises first for an unknown function or a bad arity.
-                remove_row(func, kf(regs))
-
-            ops.append(delete_op)
-        elif isinstance(action, Panic):
-            message = action.message
-
-            def panic_op(regs: Regs, msg: str = message) -> None:
-                raise EGraphPanic(msg)
-
-            ops.append(panic_op)
-        elif isinstance(action, Expr):
-            expr_fn = compile_term(egraph, action.expr, env)
-
-            def expr_op(regs: Regs, fn: TermFn = expr_fn) -> None:
-                fn(regs)
-
-            ops.append(expr_op)
-        else:
-            bad = action
-
-            def unknown_op(regs: Regs, a: Action = bad) -> None:
-                raise EGraphError(f"unknown action {a!r}")
-
-            ops.append(unknown_op)
-    return ActionProgram(tuple(ops), n_slots, n_regs)
+    With ``lookup=True`` the program only reads: it answers None as soon
+    as a row is absent or a primitive fails, and needs canonical tables
+    (rebuild first).
+    """
+    slot_of = slot_of or {}
+    compiler = _Compiler(egraph, slot_of, len(slot_of), lookup)
+    compiler.term(term)
+    return compiler.program()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +431,7 @@ class RuleExec:
     ``epoch`` pins it to the engine state it was compiled against — the
     engine bumps its compile epoch on every restore (pop, a rolled-back
     batch, a fork's child), which invalidates every cached executor
-    (closures capture tables and declarations a restore may replace).  A
+    (ops capture tables and declarations a restore may replace).  A
     capture (push, a batch's transaction) keeps them, and a replaced rule
     is a fresh object with no executor.
 

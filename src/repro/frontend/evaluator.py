@@ -36,6 +36,7 @@ from ..core.values import Value, coerce_literal
 from ..engine import EGraph, Rule
 from ..engine.actions import Action, Delete, Expr, Let, Panic, Set, Union, run_actions
 from ..engine.errors import CheckError, EGraphError
+from ..engine.program import compile_term
 from ..engine.rule import EqFact, Fact
 from ..engine.schedule import Repeat, Run, Saturate, Schedule, Seq
 from .errors import (
@@ -155,7 +156,7 @@ class Evaluator:
         record inside the loop, so a malformed item *k* leaves the commands
         before it applied.  ``deadline_ms``/``max_nodes`` are the batch's
         budgets for every ``run``/``run-schedule`` without its own.  Engine
-        errors, and input nested too deeply for the interpreter's stack,
+        errors, and input nested too deeply for the lowering's stack,
         surface as :class:`EvalError` located at the command.
         """
         for index, item in enumerate(items):
@@ -337,8 +338,9 @@ class Evaluator:
 
     # -- merge / default expressions ------------------------------------------
 
-    def _lower_merge(self, sexp: Sexp) -> Callable[[Value, Value], Value]:
-        """Compile a ``:merge`` expression over ``old``/``new`` into a callable."""
+    def _lower_merge(self, sexp: Sexp) -> Term:
+        """Lower a ``:merge`` expression over ``old``/``new``; the engine
+        compiles it."""
         # ``old``/``new`` are reserved here: a global of the same name must
         # not be inlined in their place, so mask the globals while lowering.
         masked = {
@@ -351,21 +353,13 @@ class Evaluator:
         self._require_primitive_term(
             term, sexp, allowed_vars=("old", "new"), context=":merge"
         )
-        egraph = self.egraph
-
-        def merge_fn(old: Value, new: Value) -> Value:
-            return egraph.eval_term(term, {"old": old, "new": new})
-
-        # The lowered term rides on the closure so snapshots can serialize
-        # the merge as an expression and reconstruct it on load.
-        merge_fn.__repro_term__ = term  # type: ignore[attr-defined]
-        return merge_fn
+        return term
 
     def _lower_default(self, sexp: Sexp, out_sort: str) -> Value:
         """Evaluate a ``:default`` expression (ground, primitives only)."""
         term = self._lower_expr(sexp, pattern=True)
         self._require_primitive_term(term, sexp, allowed_vars=(), context=":default")
-        value = self.egraph.eval_term(term, {})
+        value = self.egraph.add(term)
         coerced = coerce_literal(value, out_sort)
         if coerced is None:
             raise SortError(
@@ -633,9 +627,11 @@ class Evaluator:
         expr = self._lower_expr(cmd.expr, pattern=True)
         facts = [self._lower_fact(sexp) for sexp in cmd.facts]
         matches = self.egraph.query(*facts)
+        slot_of = {name: slot for slot, name in enumerate(matches[0])} if matches else {}
+        program = compile_term(self.egraph, expr, slot_of, lookup=True)
         results = set()
         for match in matches:
-            value = self.egraph.eval_term(expr, match, insert=False)
+            value = program.value(tuple(match.values()))
             if value is None:
                 continue
             _cost, best = self.egraph.extract_with_cost(value)

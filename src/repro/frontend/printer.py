@@ -1,66 +1,16 @@
-"""Re-readable printing of terms and values in .egg surface syntax.
+"""Re-readable printing of facts in .egg surface syntax.
 
-The inverse of the reader, used by ``extract``/``query-extract`` output:
-every printed form parses back to an equal term under the same
-declarations (strings are re-escaped, booleans print as ``true``/``false``,
-rationals as a ``(rational n d)`` call, nullary applications keep their
-parentheses).
+Terms and values print through :func:`repro.core.terms.format_term` and
+:func:`repro.core.terms.format_value`, re-exported here; this module adds
+body facts, used by ``check`` failure messages.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Union
-
-from ..core.terms import Term, TermApp, TermLit, TermVar
-from ..core.values import Value
+from ..core.terms import format_term, format_value
 from ..engine.rule import EqFact, Fact
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
-
-
-def format_value(value: Value) -> str:
-    """Render a runtime value as .egg literal (or constructor) syntax."""
-    data = value.data
-    if value.sort == "String":
-        body = "".join(_STRING_ESCAPES.get(char, char) for char in str(data))
-        return f'"{body}"'
-    if value.sort == "bool":
-        return "true" if data else "false"
-    if value.sort == "Unit":
-        return "()"
-    if isinstance(data, Fraction):
-        return f"(rational {data.numerator} {data.denominator})"
-    if isinstance(data, frozenset):
-        items = " ".join(sorted(format_value(item) for item in data))
-        return f"(set-of {items})" if items else "(set-empty)"
-    return str(data)
-
-
-def format_term(term: Term) -> str:
-    """Render a term as .egg surface syntax.
-
-    Iterative, so an extracted term may be deeper than the recursion limit.
-    """
-    parts: List[str] = []
-    stack: List[Union[Term, str]] = [term]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, TermVar):
-            parts.append(item.name)
-        elif isinstance(item, TermLit):
-            parts.append(format_value(item.value))
-        elif isinstance(item, TermApp):
-            parts.append("(" + item.func)
-            stack.append(")")
-            for arg in reversed(item.args):
-                stack.append(arg)
-                stack.append(" ")
-        else:
-            raise TypeError(f"cannot format {item!r}")
-    return "".join(parts)
+__all__ = ["format_fact", "format_term", "format_value"]
 
 
 def format_fact(fact: Fact) -> str:

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..core.terms import format_value
 from ..core.values import Value, boolean, f64, i64, string
 from .errors import Loc, ParseError
 
@@ -52,10 +53,6 @@ class Literal(Sexp):
     value: Value
 
     def __str__(self) -> str:
-        # One source of truth for value rendering (escaping included); the
-        # import is deferred so the reader stays standalone at import time.
-        from .printer import format_value
-
         return format_value(self.value)
 
 

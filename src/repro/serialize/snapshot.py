@@ -175,25 +175,17 @@ def validate_document(document: Dict[str, Any], *, where: str = "snapshot") -> N
 
 def _encode_merge(decl: FunctionDecl) -> Json:
     merge = decl.merge
-    if merge == MERGE_UNION:
-        return {"kind": "union"}
-    if merge == MERGE_ERROR:
-        return {"kind": "error"}
-    if callable(merge):
-        prim = getattr(merge, "__repro_prim__", None)
-        if prim is not None:
-            return {"kind": "primitive", "name": prim}
-        term = getattr(merge, "__repro_term__", None)
-        if isinstance(term, Term):
-            return {"kind": "term", "term": encode_term(term)}
-        where = f" (declared at {decl.decl_site})" if decl.decl_site else ""
-        raise SnapshotError(
-            f"cannot serialize function {decl.name!r}{where}: its merge is an "
-            f"arbitrary Python callable; use a merge primitive name or a "
-            f"merge expression instead"
-        )
+    if merge in (MERGE_UNION, MERGE_ERROR):
+        return {"kind": merge}
+    if isinstance(merge, str):
+        return {"kind": "primitive", "name": merge}
+    if isinstance(merge, Term):
+        return {"kind": "term", "term": encode_term(merge)}
+    where = f" (declared at {decl.decl_site})" if decl.decl_site else ""
     raise SnapshotError(
-        f"cannot serialize function {decl.name!r}: unnormalized merge {merge!r}"
+        f"cannot serialize function {decl.name!r}{where}: its merge is an "
+        f"arbitrary Python callable; use a merge primitive name or a "
+        f"merge expression instead"
     )
 
 
@@ -214,25 +206,10 @@ def _decode_merge(engine: EngineEGraph, name: str, obj: Json) -> object:
                 f"function {name!r} needs merge primitive {prim!r}, which is "
                 f"not registered in this engine"
             )
-        return prim  # engine.function re-normalizes (and re-tags) it
+        return prim
     if kind == "term":
-        term = decode_term(obj.get("term"))
-        return merge_from_term(engine, term)
+        return decode_term(obj.get("term"))
     raise SnapshotFormatError(f"function {name!r}: unknown merge kind {kind!r}")
-
-
-def merge_from_term(engine: EngineEGraph, term: Term) -> object:
-    """Build a merge callable evaluating ``term`` over ``old``/``new``.
-
-    This mirrors the .egg evaluator's merge lowering; the term is kept on
-    the closure so a later save round-trips byte-identically.
-    """
-
-    def merge_fn(old: Value, new: Value) -> Optional[Value]:
-        return engine.eval_term(term, {"old": old, "new": new})
-
-    merge_fn.__repro_term__ = term  # type: ignore[attr-defined]
-    return merge_fn
 
 
 def _encode_default(decl: FunctionDecl) -> Json:
@@ -537,8 +514,7 @@ def _load_rules(engine: EngineEGraph, state: Dict[str, Any]) -> None:
             last_run=require(entry, "last_run", int, f"rule {name!r}"),
         )
         try:
-            engine._validate_symbols(rule.query, f"rule {name!r}")
-            engine._validate_actions(rule.actions, f"rule {name!r}")
+            engine._validate_rule(rule)
         except EGraphError as error:
             raise SnapshotFormatError(str(error)) from None
         if name in engine.rules:

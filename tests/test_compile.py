@@ -2,8 +2,9 @@
 
 Covers the compilation layer (``repro.core.compile`` +
 ``repro.engine.program``): compiled searches must agree with the naive
-oracle in ``tests/reference.py``, compiled action programs must agree with
-``run_actions``, and every event that can strand a stale plan — a rule
+oracle in ``tests/reference.py``, compiled action programs must write the
+rows their actions name, whether a rule fires them or ``run_actions`` runs
+them at top level, and every event that can strand a stale plan — a rule
 edited through a ruleset, push/pop around a compiled run — must recompile
 (no stale-slot reads).
 """
@@ -138,10 +139,13 @@ def test_unsafe_prim_query_matches_nothing_compiled_and_interpreted():
     assert eg.search(query) == evaluate(eg.tables, eg.registry, query) == []
 
 
-# -- compiled action programs vs run_actions ----------------------------------
+# -- compiled action programs ------------------------------------------------
 
 
 def test_action_program_agrees_with_run_actions():
+    # One evaluator serves both entry points: a rule's program runs over a
+    # match tuple, run_actions over an empty register file.  Both must
+    # write exactly the rows the actions name.
     def build():
         eg = EGraph()
         eg.declare_sort("S")
@@ -159,18 +163,18 @@ def test_action_program_agrees_with_run_actions():
         Set(App("g", L(1)), L(2)),
     ]
 
-    interpreted = build()
-    run_actions(interpreted, actions, {})
+    top_level = build()
+    assert run_actions(top_level, actions, {}) == {"v": i64(3)}
 
-    compiled = build()
-    rule_name = compiled.add_rule(Rule(name="all-ops", facts=[], actions=actions))
-    compiled.run(1)
+    fired = build()
+    rule_name = fired.add_rule(Rule(name="all-ops", facts=[], actions=actions))
+    fired.run(1)
+    assert fired.rules[rule_name].last_run > 0
 
-    for name in ("g", "r"):
-        assert dict(interpreted.table_rows(name)) == dict(compiled.table_rows(name))
-    assert interpreted.are_equal(App("f", 1), App("f", 2))
-    assert compiled.are_equal(App("f", 1), App("f", 2))
-    assert compiled.rules[rule_name].last_run > 0
+    for eg in (top_level, fired):
+        assert dict(eg.table_rows("g")) == {(i64(1),): i64(2)}  # min(3, 2)
+        assert dict(eg.table_rows("r")) == {}  # r(3) asserted, then deleted
+        assert eg.are_equal(App("f", 1), App("f", 2))
 
 
 def test_action_program_panic_and_fire_time_errors():
@@ -183,12 +187,12 @@ def test_action_program_panic_and_fire_time_errors():
     with pytest.raises(EGraphPanic, match="no"):
         eg.run(1)
 
-    # An unbound variable compiles to the interpreter's fire-time error.
-    fn = compile_term(eg, V("ghost"), {})
+    # An unbound variable is an error when its op runs, not when it compiles:
+    # a rule holding one may never fire.
+    program = compile_term(eg, V("ghost"), {})
     with pytest.raises(EGraphError, match="unbound variable 'ghost'"):
-        fn([])
-    # Let-shadowing reuses the query variable's register, like the dict
-    # overwrite in run_actions.
+        program.value()
+    # A let shadowing a query variable rebinds the name for later actions.
     program = compile_actions(
         eg, [Let("x", L(7)), Expr(App("r", V("x")))], {"x": 0}, 1
     )

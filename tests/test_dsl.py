@@ -339,6 +339,28 @@ def test_pop_of_a_direct_engine_push_keeps_live_handles():
     assert repr(g(1)) == "G(1)"
 
 
+def test_declarations_made_through_the_engine_get_handles():
+    # The engine is the one copy of the state: a sort or function declared
+    # on it directly is visible to the DSL without a push/pop round trip.
+    eg = EGraph()
+    eg.engine.declare_sort("S")
+    f = eg.function("f", ("S",), i64, merge="min")
+    assert f.arg_sorts[0].name == "S"
+    eg.engine.constructor("A", (), "S")
+    eg.engine.relation("r", ("S",))
+    a, r = eg.function_handle("A"), eg.function_handle("r")
+    assert a.decl is eg.engine.decls["A"] and r.decl is eg.engine.decls["r"]
+    eg.add(r(a()))
+    assert eg.check(r(a())) == 1
+    assert eg.extract(a()).expr is not None
+    # A function redeclared through the engine gets a fresh handle.
+    eg.push()
+    eg.engine.relation("q", ("S",))
+    eg.pop()
+    eg.engine.relation("q", (i64.name,))
+    assert eg.function_handle("q").arg_sorts[0] is i64
+
+
 def test_add_rejects_non_ground_expressions():
     eg, math, num, sym, add, mul, shl = math_engine()
     (x,) = vars_("x", math)
@@ -369,7 +391,7 @@ def test_equality_saturation_end_to_end():
     assert best.cost == 3
     assert best.term == target.term
     assert repr(best.expr) == "Shl(Var('a'), Num(1))"
-    assert str(best) == "(Shl (Var 'a') (Num 1))"
+    assert str(best) == '(Shl (Var "a") (Num 1))'  # .egg syntax
 
 
 def test_datalog_min_merge_end_to_end():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.terms import App, L, V
+from repro.core.terms import App, L, V, format_term
 from repro.core.values import I64, STRING, i64
 from repro.engine import (
     CheckError,
@@ -353,6 +353,80 @@ def test_saturation_report_statistics():
     assert "base" in report.per_rule_matches
     assert report.total_time >= 0.0
     assert "saturated" in report.summary()
+
+
+# -- ground terms: one evaluator, no depth limit, pure lookups --------------
+
+
+def peano_engine():
+    eg = EGraph()
+    eg.declare_sort("N")
+    eg.constructor("Z", (), "N")
+    eg.constructor("S", ("N",), "N")
+    eg.function("val", ("N",), I64, merge="min")
+    eg.function("num", (I64,), "N")
+    return eg
+
+
+def test_a_10000_deep_term_goes_through_every_engine_entry_point():
+    eg = peano_engine()
+    deep = App("Z")
+    for _ in range(10_000):
+        deep = App("S", deep)
+    value = eg.add(deep)
+    assert eg.lookup(deep) == value
+    assert eg.lookup(App("S", deep)) is None
+    cost, best = eg.extract_with_cost(deep)
+    assert cost == 10_001
+    text = format_term(best)
+    assert text == str(best) == str(deep)
+    assert text.startswith("(S (S ") and text.endswith("(Z)" + ")" * 10_000)
+    eg.union(App("S", deep), App("Z"))
+    assert eg.are_equal(App("S", deep), App("Z"))
+    assert eg.extract_with_cost(App("S", deep)) == (1, App("Z"))
+
+
+def test_lookups_of_an_absent_outer_application_write_nothing():
+    eg = peano_engine()
+    inner = App("S", App("Z"))
+    eg.add(inner)
+    eg.union(App("Z"), App("num", 0))
+    eg.rebuild()
+    before = (eg.updates, eg.stats(), list(eg.uf._parent))
+    outer = App("S", inner)
+    assert eg.lookup(inner) is not None
+    assert eg.lookup(outer) is None
+    assert eg.lookup(App("val", outer)) is None
+    assert not eg.are_equal(outer, inner)
+    assert not eg.are_equal(inner, outer)
+    with pytest.raises(EGraphError, match="not in the e-graph"):
+        eg.explain(outer, inner)
+    assert (eg.updates, eg.stats(), list(eg.uf._parent)) == before
+
+
+def test_a_failing_primitive_inside_a_lookup_answers_none():
+    eg = peano_engine()
+    eg.add(App("num", 1))
+    before = eg.stats()
+    for term in (App("num", App("/", 1, 0)), App("num", App("+", 2**62, 2**62))):
+        assert eg.lookup(term) is None
+        assert not eg.are_equal(term, App("num", 1))
+        with pytest.raises(EGraphError, match="primitive .* failed on"):
+            eg.add(term)
+    assert eg.stats() == before
+
+
+def test_a_term_merge_is_declaration_data_compiled_once():
+    eg = EGraph()
+    merge = App("max", V("old"), V("new"))
+    decl = eg.function("best", (I64,), I64, merge=merge)
+    assert decl.merge == merge
+    run_actions(eg, [Set(App("best", 1), L(3)), Set(App("best", 1), L(7))], {})
+    assert eg.lookup(App("best", 1)) == i64(7)
+    assert eg.merge_fn(decl) is eg.merge_fn(decl)
+    with pytest.raises(EGraphError, match="unknown symbol 'mystery'"):
+        eg.function("bad", (I64,), I64, merge=App("mystery", V("old"), V("new")))
+    assert "bad" not in eg.decls
 
 
 # -- push / pop context snapshots --------------------------------------------

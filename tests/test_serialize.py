@@ -22,9 +22,9 @@ from repro.bench.workloads import default_workloads
 from repro.core.terms import App, V
 from repro.core.values import Value, from_python
 from repro.dsl import EGraph as DslEGraph
-from repro.dsl import var
+from repro.dsl import i64, var
 from repro.dsl.errors import DslError
-from repro.engine import EGraph
+from repro.engine import EGraph, Expr, Rule
 from repro.engine.schedule import Run, Saturate, Seq
 from repro.frontend import Evaluator
 from repro.frontend.cli import main as cli_main
@@ -499,6 +499,37 @@ def test_dsl_inplace_load_replaces_state(tmp_path):
     assert set(other._functions) == {"Num", "Add"}
 
 
+def test_engine_inplace_load_runs_rules_on_the_loading_engine(tmp_path):
+    # Loading compiles the snapshot's rules once to check them; a run after
+    # an in-place load must count its updates on the engine it loaded into,
+    # or it stops after one iteration as if saturated.
+    def closure_engine():
+        engine = EGraph()
+        engine.relation("edge", ("i64", "i64"))
+        engine.relation("path", ("i64", "i64"))
+        engine.add_rule(
+            Rule(name="base", facts=[App("edge", V("x"), V("y"))],
+                 actions=[Expr(App("path", V("x"), V("y")))])
+        )
+        engine.add_rule(
+            Rule(name="step", facts=[App("path", V("x"), V("y")), App("edge", V("y"), V("z"))],
+                 actions=[Expr(App("path", V("x"), V("z")))])
+        )
+        return engine
+
+    saved = closure_engine()
+    saved.add(App("edge", 1, 2))
+    path = tmp_path / "closure.json"
+    save_engine(saved, str(path))
+    engine = closure_engine()
+    engine.load(str(path))
+    engine.add(App("edge", 2, 3))
+    engine.add(App("edge", 3, 4))
+    report = engine.run(10)
+    assert report.saturated and report.iterations > 1
+    assert engine.lookup(App("path", 1, 4)) is not None
+
+
 def test_dsl_roundtrip_byte_identical(tmp_path):
     eg, _, _ = _dsl_session()
     first = tmp_path / "a.json"
@@ -513,6 +544,22 @@ def test_dsl_snapshot_error_maps_to_dsl_error(tmp_path):
     eg.function("f", ["i64"], "i64", merge=lambda old, new: old)
     with pytest.raises(DslError):
         eg.save(str(tmp_path / "bad.json"))
+
+
+def test_dsl_term_merge_saves_and_merges_after_load(tmp_path):
+    # merge= takes a term over ``old``/``new``; a DSL expression lowers to
+    # one, is kept as declaration data and saves as an expression.
+    eg = DslEGraph()
+    total = eg.function("total", [i64], i64, merge=var("old", i64) + var("new", i64))
+    assert eg.engine.decls["total"].merge == App("+", V("old"), V("new"))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    eg.save(str(first))
+    loaded = DslEGraph.from_snapshot(str(first))
+    loaded.save(str(second))
+    assert first.read_text() == second.read_text()
+    fn = loaded.engine.merge_fn(loaded.engine.decls["total"])
+    assert fn(from_python(3), from_python(4)) == from_python(7)
+    assert loaded.function_handle("total").arity == total.arity
 
 
 def test_dsl_missing_snapshot_propagates_oserror(tmp_path):
