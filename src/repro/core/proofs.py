@@ -23,7 +23,7 @@ preserves every existing tree path, so earlier justifications survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 # Justification kinds.
 RULE = "rule"
@@ -115,13 +115,29 @@ class ProofForest:
     here (between the *original* ids the caller named, not their canonical
     roots — that keeps the forest connected within each class).  Edges are
     never compressed, so justifications are never lost.
+
+    :attr:`nodes` is the proof-node log: ``(func, key-as-first-inserted) ->
+    raw output`` for every eq-sorted insertion.  Rebuilding canonicalizes
+    rows and merges congruent ones, which destroys the original e-node ids
+    in the database; explanations need them (the edges join *original*
+    ids), so the engine remembers each one here.  The log is append-only
+    (the first recording wins), which lets a capture restore it by length.
+
+    While the owning union-find holds a live capture, :meth:`record`
+    journals the old parent and edge of every id below ``_frozen`` before
+    overwriting it (see ``UnionFind.mark``).
     """
 
-    __slots__ = ("_parent", "_edge")
+    __slots__ = ("_parent", "_edge", "nodes", "_undo", "_frozen")
 
     def __init__(self) -> None:
         self._parent: List[int] = []
         self._edge: List[Optional[Justification]] = []
+        self.nodes: Dict[Tuple[str, tuple], Any] = {}
+        #: The owning union-find's undo journal and its freeze line; ids
+        #: below ``_frozen`` existed when the newest live capture was taken.
+        self._undo: List[Tuple[list, int, Any]] = []
+        self._frozen = 0
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -142,9 +158,25 @@ class ProofForest:
         already-equal ids).  ``a`` and ``b`` must be ids from trees that were
         distinct before this union.
         """
+        if self._frozen:
+            self._journal_path(a)
         self._reroot(a)
         self._parent[a] = b
         self._edge[a] = justification
+
+    def _journal_path(self, a: int) -> None:
+        """Journal the parent and edge of every id :meth:`record` will
+        overwrite: ``a`` and its ancestors, the ones below the freeze line."""
+        parent, edge, undo, frozen = self._parent, self._edge, self._undo, self._frozen
+        node = a
+        while True:
+            if node < frozen:
+                undo.append((parent, node, parent[node]))
+                undo.append((edge, node, edge[node]))
+            up = parent[node]
+            if up == node:
+                return
+            node = up
 
     def _reroot(self, a: int) -> None:
         """Reverse the path from ``a`` to its root so ``a`` becomes the root.
@@ -222,8 +254,8 @@ class ProofForest:
     # -- snapshots (push/pop support) ------------------------------------------
 
     def snapshot(self) -> tuple:
-        """Capture the forest for a later :meth:`restore`."""
-        return (list(self._parent), list(self._edge))
+        """Capture the forest and node log for a later :meth:`restore`."""
+        return (list(self._parent), list(self._edge), dict(self.nodes))
 
     def restore(self, state: tuple) -> None:
         """Reinstall a captured state.
@@ -232,6 +264,28 @@ class ProofForest:
         forest keeps growing after the restore, so restoring the same
         snapshot twice is sound (mirrors ``UnionFind.restore``).
         """
-        parent, edge = state
-        self._parent = list(parent)
-        self._edge = list(edge)
+        parent, edge, nodes = state
+        self.install(list(parent), list(edge), dict(nodes))
+
+    def install(
+        self,
+        parent: List[int],
+        edge: List[Optional[Justification]],
+        nodes: Dict[Tuple[str, tuple], Any],
+    ) -> None:
+        """Adopt the given containers by reference; the caller gives them up."""
+        self._parent = parent
+        self._edge = edge
+        self.nodes = nodes
+
+    def truncate(self, n_ids: int, n_nodes: int) -> None:
+        """Drop ids from ``n_ids`` on and log entries past the first ``n_nodes``.
+
+        ``dict.popitem`` removes the newest entry, so the log keeps its
+        insertion order and every snapshot document stays byte-identical.
+        """
+        del self._parent[n_ids:]
+        del self._edge[n_ids:]
+        nodes = self.nodes
+        for _ in range(len(nodes) - n_nodes):
+            nodes.popitem()

@@ -86,15 +86,6 @@ class EGraph:
         #: around the apply phase and rebuilding sets it to the congruence
         #: step around each table repair (see :meth:`set_union_reason`).
         self._reason: Justification = EXPLICIT
-        #: Proof-node log: ``(func, key-as-first-inserted) -> raw output``.
-        #: Rebuilding canonicalizes rows and merges congruent ones, which
-        #: destroys the original e-node ids in the database; explanations
-        #: need them (the proof forest's edges join *original* ids), so
-        #: every eq-sorted insertion is remembered here append-only.  None
-        #: when proofs are disabled.
-        self._proof_log: Optional[Dict[Tuple[str, Key], Value]] = (
-            {} if proofs else None
-        )
         self.registry = registry if registry is not None else default_registry()
         self.sorts: Dict[str, Sort] = dict(BUILTIN_SORTS)
         #: Names of declared eq-sorts — the canonicalize fast path tests
@@ -116,11 +107,20 @@ class EGraph:
         self._merge_fns: Dict[str, Callable[[Value, Value], Value]] = {}
         #: Per-function eq-sorted column lists (see eq_columns).
         self._eq_cols: Dict[str, List[Tuple[int, str]]] = {}
-        self.scheduler = Scheduler(self)
         self._snapshots: List[dict] = []
         #: Extraction's best-node map: derived state, never snapshotted, and
         #: dropped whenever a class's cost can rise (see repro.engine.extract).
         self._extraction: Optional[BestNodes] = None
+
+    @property
+    def scheduler(self) -> Scheduler:
+        """A scheduler over this engine.
+
+        Built per call rather than kept: a kept scheduler would refer back
+        to its engine, and that cycle would leave every dropped engine (a
+        deleted session's fork) to the cyclic garbage collector.
+        """
+        return Scheduler(self)
 
     # -- compiled executors ---------------------------------------------------
 
@@ -430,15 +430,16 @@ class EGraph:
     # -- ground terms ---------------------------------------------------------
 
     def record_node(self, func: str, key: Key, value: Value) -> None:
-        """Log an eq-sorted insertion's raw output id for proof production.
+        """Log an eq-sorted insertion's raw output id for proof production
+        (the proof forest's node log, ``ProofForest.nodes``).
 
         No-op when proofs are disabled or the output is primitive.  The
         first recording wins: the log preserves the term's *original*
         e-node id even after rebuilding rewrites or merges its row.
         """
-        log = self._proof_log
-        if log is not None and value[0] in self._eq_sorts:  # type: ignore[index]
-            log.setdefault((func, key), value)
+        forest = self.uf.proofs
+        if forest is not None and value[0] in self._eq_sorts:  # type: ignore[index]
+            forest.nodes.setdefault((func, key), value)
 
     def _default_value(self, decl: FunctionDecl, key: Key) -> Value:
         default = decl.default
@@ -619,20 +620,23 @@ class EGraph:
     def snapshot_state(self) -> dict:
         """Capture the full observable engine state as an opaque snapshot.
 
-        Everything observable is captured: the union-find, every table's
-        rows, declarations, rules and their semi-naïve watermarks, the
-        timestamp, and the update counter.  A capture costs O(tables +
-        e-classes), not O(rows): tables are captured copy-on-write (see
-        ``Table.snapshot``), while the union-find, proof forest and proof
-        log are copied.  The snapshot is *out of band* — it does not touch
-        the :meth:`push`/:meth:`pop` stack, so holders (transactional
-        batches, :meth:`fork`) can roll back without disturbing
-        client-visible push/pop pairing.  A capture replaces no table,
-        declaration or rule, so compiled executors stay valid; only
+        Everything observable is captured: the union-find with its proof
+        forest and proof-node log, every table's rows, declarations, rules
+        and their semi-naïve watermarks, the timestamp, and the update
+        counter.  A capture costs O(tables + rules), independent of rows
+        and e-classes: tables are captured copy-on-write (see
+        ``Table.snapshot``), and the union-find, proof forest and node log
+        by their lengths and a position in the union-find's undo journal
+        (``UnionFind.mark``), which records every overwrite while the
+        capture is alive.  The snapshot is *out of band* — it does not
+        touch the :meth:`push`/:meth:`pop` stack, so holders
+        (transactional batches, :meth:`fork`) can roll back without
+        disturbing client-visible push/pop pairing.  A capture replaces no
+        table, declaration or rule, so compiled executors stay valid; only
         :meth:`restore_state` invalidates them.
         """
         return {
-            "uf": self.uf.snapshot(),
+            "uf": self.uf.mark(),
             "sorts": dict(self.sorts),
             "decls": dict(self.decls),
             "tables": {name: table.snapshot() for name, table in self.tables.items()},
@@ -641,9 +645,6 @@ class EGraph:
             "rulesets": {name: list(rules) for name, rules in self.rulesets.items()},
             "timestamp": self.timestamp,
             "updates": self._updates,
-            "proof_log": (
-                dict(self._proof_log) if self._proof_log is not None else None
-            ),
         }
 
     def restore_state(self, snap: dict) -> None:
@@ -651,12 +652,16 @@ class EGraph:
         made since.  E-class ids allocated after the capture become invalid.
 
         The capture survives the restore intact, so it can be restored
-        again: tables share its rows copy-on-write and every other
-        container is installed as a copy.  A pinned transaction snapshot or
-        push-stack entry stays pristine even when a ``pop`` runs inside an
-        aborted batch.
+        again: tables share its rows copy-on-write, the small dicts are
+        installed as copies, and the union-find rolls back through
+        ``UnionFind.rollback``.  Restoring the newest live capture undoes
+        the union-find's journal, in O(writes undone); any other restore
+        (a batch that pops a push made before it) first turns every live
+        capture into copies, then installs a copy.  A pinned transaction
+        snapshot or push-stack entry stays pristine even when a ``pop``
+        runs inside an aborted batch.
         """
-        self.uf.restore(snap["uf"])
+        self.uf.rollback(snap["uf"])
         self.sorts = dict(snap["sorts"])
         self.decls = dict(snap["decls"])
         # Tables declared after the capture are dropped; surviving Table
@@ -678,10 +683,6 @@ class EGraph:
         self.rulesets = {name: list(rules) for name, rules in snap["rulesets"].items()}
         self.timestamp = snap["timestamp"]
         self._updates = snap["updates"]
-        if self._proof_log is not None and snap["proof_log"] is not None:
-            # Nodes logged after the capture reference ids that no longer
-            # exist once the union-find snapshot is reinstalled.
-            self._proof_log = dict(snap["proof_log"])
         self._eq_sorts = {
             name for name, sort in self.sorts.items() if sort.is_eq_sort
         }
@@ -899,9 +900,9 @@ class EGraph:
     def _raw_node(self, func: str, raw_key: Key) -> Optional[Value]:
         if any(value is None for value in raw_key):
             return None
-        log = self._proof_log
-        if log is not None:
-            hit = log.get((func, raw_key))
+        forest = self.uf.proofs
+        if forest is not None:
+            hit = forest.nodes.get((func, raw_key))
             if hit is not None:
                 return hit
         return self.tables[func].get(tuple([self.canonicalize(v) for v in raw_key]))
@@ -959,9 +960,6 @@ class EGraph:
         # Every attribute is replaced, the best-node map (None on ``fresh``)
         # included.
         self.__dict__.update(fresh.__dict__)
-        # The fresh engine's scheduler points at ``fresh``; rebind so runs
-        # drive *this* object (they now share no other state).
-        self.scheduler = Scheduler(self)
         self._snapshots = []
         return document
 
@@ -970,12 +968,14 @@ class EGraph:
         :meth:`snapshot_state`, the capture path push/pop and transactional
         batches use.
 
-        Tables are shared copy-on-write, so a fork costs O(tables +
-        e-classes) and each engine copies a table only when it first
-        writes it.  Semantically identical to round-tripping through a
-        ``repro.snapshot/v1`` document (``engine_document(fork)`` is
-        byte-identical to ``engine_document(parent)``, which the test suite
-        pins).  Mutating either engine never affects the other.  The fork
+        Tables are shared copy-on-write, and the child builds its
+        union-find, proof forest and node log from one copy of the
+        parent's, so a fork costs O(tables + e-classes) and each engine
+        copies a table only when it first writes it.  Semantically
+        identical to round-tripping through a ``repro.snapshot/v1``
+        document (``engine_document(fork)`` is byte-identical to
+        ``engine_document(parent)``, which the test suite pins).
+        Mutating either engine never affects the other.  The fork
         gets fresh rule objects, because a rule's watermark and executor
         cache belong to one engine; indexes and compiled executors are
         rebuilt lazily, and the push/pop stack does not carry over.

@@ -295,7 +295,7 @@ def engine_document(
             "dirty": sorted(uf_dirty),
             "n_unions": uf_unions,
         },
-        "proofs": _encode_proofs(engine, forest),
+        "proofs": _encode_proofs(forest),
         "rules": [
             {
                 "name": rule.name,
@@ -329,11 +329,10 @@ def engine_document(
     return document
 
 
-def _encode_proofs(engine: EngineEGraph, forest: Optional[tuple]) -> Json:
+def _encode_proofs(forest: Optional[tuple]) -> Json:
     if forest is None:
         return None
-    parent, edges = forest
-    log = engine._proof_log or {}
+    parent, edges, log = forest
     return {
         "forest": {
             "parent": list(parent),
@@ -450,6 +449,7 @@ def _load_unionfind(engine: EngineEGraph, state: Dict[str, Any], proofs: bool) -
         forest_state = (
             list(f_parent),
             [decode_justification(edge) for edge in f_edges],
+            {},  # the node log follows the tables (_load_proof_log)
         )
     engine.uf.restore(
         (
@@ -491,7 +491,8 @@ def _load_proof_log(engine: EngineEGraph, state: Dict[str, Any], proofs: bool) -
             raise SnapshotFormatError(f"malformed proof-log entry {entry!r}")
         key = tuple(decode_value(col) for col in entry[1])
         log[(entry[0], key)] = decode_value(entry[2])
-    engine._proof_log = log
+    assert engine.uf.proofs is not None  # the engine was built with proofs
+    engine.uf.proofs.nodes = log
 
 
 def _load_rules(engine: EngineEGraph, state: Dict[str, Any]) -> None:

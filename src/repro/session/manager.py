@@ -167,16 +167,20 @@ class Session:
         engine = self.engine
         state = engine.snapshot_state()
         # A shallow list copy pins the pre-batch push/pop stack: entries
-        # stay pristine even if the batch pops them, because writes after
-        # ``restore_state`` never reach a capture (tables copy on their
-        # first write, other containers are installed as copies).
+        # stay pristine even if the batch pops them, because no write after
+        # a restore reaches a capture (tables copy on their first write; a
+        # restore of anything but the newest live capture first turns every
+        # live union-find capture into copies).
         stack = list(engine._snapshots)
         frontend = self.evaluator.session_snapshot()
         try:
             yield
         except BaseException:
-            engine.restore_state(state)
+            # Reinstate the stack first: the failed batch's own pushes die,
+            # so ``state`` is the newest live capture and the union-find
+            # rolls back by undoing its journal rather than by copies.
             engine._snapshots = stack
+            engine.restore_state(state)
             self.evaluator.session_restore(frontend)
             raise
 

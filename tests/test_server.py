@@ -13,10 +13,12 @@ Three layers, tested at their natural seams:
   sessions share nothing mutable but the (lock-protected) compile cache.
 """
 
+import gc
 import http.client
 import json
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -44,6 +46,24 @@ CHECK_1_5 = {"op": "check", "facts": [["a", "path", [["l", ["i64", 1]], ["l", ["
 # ---------------------------------------------------------------------------
 # SessionManager
 # ---------------------------------------------------------------------------
+
+
+def test_a_removed_session_is_freed_without_the_cyclic_collector():
+    # An open-shaped session (fork, a check, an extract, delete) must leave
+    # no cycle behind: its engine is freed as soon as the manager drops it.
+    mgr = SessionManager()
+    mgr.add_base_from_program("tc", TC_PROGRAM + "(run 10)")
+    gc.collect()
+    gc.disable()
+    try:
+        session = mgr.create_session("tc")
+        session.run_program([CHECK_1_5, {"op": "extract", "term": CHECK_1_5["facts"][0]}])
+        engine = weakref.ref(session.engine)
+        mgr.remove_session(session.id)
+        del session
+        assert engine() is None
+    finally:
+        gc.enable()
 
 
 def test_manager_base_and_session_lifecycle():
@@ -818,6 +838,41 @@ def test_overloaded_server_refuses_with_503():
         assert live.app.rejected == 1
     finally:
         live.stop()
+
+
+def test_the_package_version_is_resolved_once(monkeypatch):
+    # Without an installed distribution importlib.metadata scans sys.path on
+    # every call, and every response names the version in its Server header.
+    from importlib import metadata
+
+    from repro import _version
+    from repro.server import http as http_mod
+
+    calls = []
+    real_version = metadata.version
+
+    def counting_version(name):
+        calls.append(name)
+        return real_version(name)
+
+    monkeypatch.setattr(metadata, "version", counting_version)
+    _version.package_version.cache_clear()
+    try:
+        first = http_mod._encode_response(200, {"ok": True}, True)
+        second = http_mod._encode_response(200, {"ok": True}, True)
+        assert len(calls) <= 1
+        version = _version.package_version()
+        header = f"Server: repro-serve/{version}\r\n".encode("latin-1")
+        assert header in first and header in second
+        live = LiveServer()
+        try:
+            status, body = live.request("GET", "/healthz")
+        finally:
+            live.stop()
+        assert status == 200 and body["version"] == version
+        assert len(calls) <= 1
+    finally:
+        _version.package_version.cache_clear()
 
 
 def test_draining_server_refuses_with_503():

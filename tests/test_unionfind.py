@@ -80,3 +80,98 @@ def test_union_all_and_class_members():
     assert uf.class_members(ids[4]) == [ids[4]]
     with pytest.raises(ValueError):
         uf.union_all([])
+
+
+# -- journaled captures (mark / rollback) ---------------------------------------
+
+
+def _proof_uf(n):
+    uf = UnionFind(proofs=True)
+    ids = uf.make_sets(n)
+    for i in range(0, n - 1, 2):
+        uf.union(ids[i], ids[i + 1])
+        uf.proofs.nodes[("f", (i,))] = i
+    return uf, ids
+
+
+def _scramble(uf, ids, salt):
+    """Unions, path-compressing finds, new ids and node-log entries."""
+    fresh = uf.make_sets(3)
+    for k, ident in enumerate(ids[salt % 3 : 12 : 3]):
+        uf.union(ident, fresh[k % 3])
+    for ident in ids[:12]:
+        uf.find(ident)
+    uf.proofs.nodes[("g", (salt,))] = salt
+
+
+def test_rollback_undoes_writes_and_truncates():
+    uf, ids = _proof_uf(200)
+    before = uf.snapshot()
+    mark = uf.mark()
+    _scramble(uf, ids, 1)
+    assert uf._undo  # overwrites of existing ids were journaled
+    uf.rollback(mark)
+    assert uf.snapshot() == before and not uf._undo
+    _scramble(uf, ids, 2)  # the mark survives its restore
+    uf.rollback(mark)
+    assert uf.snapshot() == before
+    assert mark.state is None  # both restores were plain undos
+
+
+def test_nothing_is_journaled_without_a_live_mark():
+    uf, ids = _proof_uf(200)
+    _scramble(uf, ids, 1)
+    assert not uf._undo and uf._frozen == 0
+    mark = uf.mark()
+    _scramble(uf, ids, 2)
+    del mark  # its holder dropped it
+    assert not uf._undo and uf._frozen == 0 and uf.proofs._frozen == 0
+    _scramble(uf, ids, 3)
+    assert not uf._undo
+
+
+def test_rollback_to_an_older_mark_keeps_the_newer_one_restorable():
+    # A failing batch that pops a push made before it: the older mark is
+    # restored first, then the newer one.
+    uf, ids = _proof_uf(200)
+    at_old = uf.snapshot()
+    old = uf.mark()
+    _scramble(uf, ids, 1)
+    at_new = uf.snapshot()
+    new = uf.mark()
+    _scramble(uf, ids, 2)
+    uf.rollback(old)
+    assert uf.snapshot() == at_old
+    assert old.state is not None and new.state is not None  # both copied
+    _scramble(uf, ids, 3)
+    uf.rollback(new)
+    assert uf.snapshot() == at_new
+    uf.rollback(old)
+    assert uf.snapshot() == at_old
+
+
+def test_a_mark_of_another_union_find_installs_one_copy():
+    parent, ids = _proof_uf(200)
+    at_mark = parent.snapshot()
+    mark = parent.mark()
+    child = UnionFind(proofs=True)
+    child.rollback(mark)
+    assert child.snapshot() == at_mark
+    _scramble(child, ids, 1)  # the child shares no container with its parent
+    assert parent.snapshot() == at_mark
+    _scramble(parent, ids, 2)
+    fresh = UnionFind(proofs=True)
+    fresh.rollback(mark)  # the parent's journal still describes the mark
+    assert fresh.snapshot() == at_mark
+
+
+def test_a_held_mark_turns_into_copies_before_its_journal_outweighs_them():
+    uf, ids = _proof_uf(12)
+    at_mark = uf.snapshot()
+    mark = uf.mark()
+    for salt in range(20):
+        _scramble(uf, ids, salt)
+        assert len(uf._undo) <= max(uf._journal_limit(), 2)
+    assert mark.state is not None and not uf._marks and not uf._undo
+    uf.rollback(mark)
+    assert uf.snapshot() == at_mark
