@@ -317,13 +317,14 @@ class UnionFind:
         marks = self._marks
         if not marks:
             return  # the journal is empty and nothing is journaled
-        if count is None:
-            count = len(marks)
-        for ref in marks[:count]:
+        copied = marks[:count]
+        for ref in copied:
             mark = ref()
             if mark is not None:
                 mark.state = self._copy_of(mark)
-        del marks[:count]
+        # Rebuild rather than slice: a collection during the copies may
+        # have run ``_released`` and shortened the list.
+        self._marks = marks = [ref for ref in self._marks if ref not in copied]
         live = [mark for mark in (ref() for ref in marks) if mark is not None]
         start = live[0].pos if live else len(self._undo)
         del self._undo[:start]
