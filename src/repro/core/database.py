@@ -19,15 +19,32 @@ the table's rows.
 
 Indexes describe row values, never timestamps: a restamp leaves them
 alone, and the semi-naïve delta is read from the write log instead.
+
+Captures come in two kinds.  An engine's own captures (a served batch's
+transaction, ``push``) are journaled: :meth:`Table.capture` records the
+row count and the write log's lists and lengths, and while the capture is
+alive every overwrite of a row that existed at the newest capture records
+the old row in the engine's one undo journal (``UnionFind.mark``).  Rows
+inserted since are undone by truncation (``dict.popitem`` drops the newest
+key), so a rollback costs the writes it undoes and ``list(table.data)``
+comes back exactly.  Removing a row that existed at the newest capture
+would lose its position, which no record restores: such a removal first
+turns the live captures into copies.  Everything else (a fork, a capture
+turned into copies) shares the row dict and write log copy-on-write
+(:meth:`Table.snapshot`), and the first write after it copies them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from .schema import FunctionDecl
 from .values import Value
+
+if TYPE_CHECKING:
+    from .unionfind import UnionFind
 
 Key = Tuple[Value, ...]
 
@@ -52,7 +69,7 @@ class Row:
         self.timestamp = timestamp
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Row:
+        if type(other) is not Row:
             return NotImplemented
         return self.value == other.value and self.timestamp == other.timestamp
 
@@ -68,9 +85,11 @@ class Table:
     that is the engine's and the rebuilder's job — it only stores rows and
     provides lookups, scans, and indexes.
 
-    Snapshots are copy-on-write (:meth:`snapshot`/:meth:`restore`): a
-    capture shares the row dict and write log, and only the first write
-    after it copies them.
+    An engine's own captures are journaled (:meth:`capture`, :meth:`rollback`):
+    they copy nothing, and a rollback undoes the writes made since.  Other
+    captures are copy-on-write (:meth:`snapshot`/:meth:`restore`): they
+    share the row dict and write log, and the first write after them
+    copies both.
     """
 
     def __init__(self, decl: FunctionDecl) -> None:
@@ -96,6 +115,14 @@ class Table:
         # by a snapshot (see :meth:`snapshot`), so the next write must copy
         # them before mutating.
         self._shared = False
+        #: The union-find whose undo journal takes this table's records
+        #: while one of its journaled captures is alive (``_journal._marks``
+        #: is non-empty); set by :meth:`capture`.
+        self._journal: Optional["UnionFind"] = None
+        #: Keys inserted since the newest live journaled capture.  Those
+        #: rows sit after every captured one, so overwriting or removing
+        #: them needs no record: a rollback truncates them away.
+        self._born: Set[Key] = set()
 
     # -- basic access --------------------------------------------------------
 
@@ -118,6 +145,13 @@ class Table:
 
     def put(self, key: Key, value: Value, timestamp: int) -> None:
         """Insert or overwrite a row, updating every maintained index."""
+        journal = self._journal
+        if journal is not None and journal._marks and key not in self._born:
+            captured = self.data.get(key)
+            if captured is None:
+                self._born.add(key)
+            else:
+                journal.record_row(self, key, captured)
         if self._shared:
             self._unshare()
         old = self.data.get(key)
@@ -166,8 +200,10 @@ class Table:
     def _unshare(self) -> None:
         """Take private copies of the rows and write log a snapshot holds.
 
-        The one-time cost of the first write after :meth:`snapshot` or
-        :meth:`restore`; indexes are table-owned and carry over.
+        The one-time cost of the first write after a copy-on-write
+        :meth:`snapshot` or :meth:`restore` (a fork, a capture turned into
+        copies); journaled captures never share.  Indexes are table-owned
+        and carry over.
         """
         self.data = dict(self.data)
         self._log_ts = list(self._log_ts)
@@ -176,6 +212,11 @@ class Table:
 
     def remove(self, key: Key) -> Optional[Row]:
         """Remove and return a row (None if absent); indexes stay in sync."""
+        journal = self._journal
+        if journal is not None and journal._marks and key not in self._born and key in self.data:
+            # A captured row: re-inserting it would put it last, so the
+            # live captures turn into copies before it goes.
+            journal.copy_marks()
         if self._shared:
             if key not in self.data:
                 return None
@@ -305,17 +346,91 @@ class Table:
                         self._project(columns, key, row.value), {}
                     )[key] = None
 
-    # -- snapshots (push/pop support) ----------------------------------------
+    # -- journaled captures (push/pop, transactions) --------------------------
+
+    def capture(self, journal: "UnionFind") -> tuple:
+        """Capture this table for a journaled :meth:`rollback`, in O(1).
+
+        Records the row count and the write log's two lists with their
+        length, and journals this table's overwrites into ``journal``'s
+        undo journal while one of its captures is alive (the caller,
+        ``UnionFind.mark``, tracks them); the keys born since the previous
+        capture are forgotten.  The log is append-only and
+        :meth:`_compact_log` installs fresh lists, so the captured lists
+        keep their captured prefix.
+        """
+        if self._pending:
+            self._flush_pending()
+        self._journal = journal
+        self._born.clear()
+        log_ts = self._log_ts
+        return (len(self.data), log_ts, self._log_keys, len(log_ts), self._log_sorted)
+
+    def written_since(self, capture: tuple) -> bool:
+        """True iff a row was written since ``capture``: every ``put``
+        appends to the write log, and the only removals a journaled
+        capture survives are of rows put since."""
+        return self._log_ts is not capture[1] or len(self._log_ts) != capture[3]
+
+    def __setitem__(self, key: Key, row: Row) -> None:
+        """Undo one journaled overwrite (the undo journal's generic
+        ``container[index] = old``): reinstate ``row`` in place."""
+        if self._shared:
+            self._unshare()
+        self.data[key] = row
+
+    def rollback(self, capture: tuple) -> None:
+        """Return to ``capture`` once the journal has been undone.
+
+        The undone records restored every captured row in place; the rows
+        inserted since sit after them and are truncated newest first, and
+        the write log is cut back to its captured length.  A table not
+        written since keeps its indexes; any other drops them, so they are
+        rebuilt from the restored rows in the order a fresh build gives.
+        """
+        if not self.written_since(capture):
+            return
+        n_rows, log_ts, log_keys, n_log, log_sorted = capture
+        if self._shared:
+            self._unshare()  # a fork shares rows written since the capture
+        data = self.data
+        for _ in range(len(data) - n_rows):
+            data.popitem()
+        if self._log_ts is log_ts:
+            del log_ts[n_log:]
+            del log_keys[n_log:]
+        else:  # compacted or copied since; the capture kept the old lists
+            self._log_ts, self._log_keys = log_ts[:n_log], log_keys[:n_log]
+        self._log_sorted = log_sorted
+        self._pending.clear()
+        self._indexes.clear()
+
+    def copy_at(self, capture: tuple) -> tuple:
+        """A :meth:`snapshot`-shaped copy of the rows at ``capture``,
+        before the journal's records are applied to it: the captured rows
+        are this table's first ``n_rows``, in order."""
+        n_rows, log_ts, log_keys, n_log, log_sorted = capture
+        return (
+            dict(islice(self.data.items(), n_rows)),
+            log_ts[:n_log],
+            log_keys[:n_log],
+            log_sorted,
+        )
+
+    # -- copy-on-write snapshots (forks, captures turned into copies) ----------
 
     def snapshot(self) -> tuple:
         """Capture the table's rows and write log for a later :meth:`restore`.
 
-        Copy-on-write, so a capture costs O(1): the row dict and the write
-        log are returned by reference and the table is marked shared.  The
-        first ``put``/``remove`` afterwards copies them (one O(rows) copy of
-        this table only), so the capture itself is never mutated.  Rows are
-        immutable (``put`` always stores a fresh one), which makes sharing
-        the containers safe.  Indexes are derived data and are not captured.
+        The capture a fork installs, and the form a journaled capture takes
+        for a table not written since it when the capture turns into copies
+        (``UnionFind.copy_marks``).  Copy-on-write, so a capture costs
+        O(1): the row dict and the write log are returned by reference and
+        the table is marked shared.  The first ``put``/``remove`` afterwards
+        copies them (one O(rows) copy of this table only), so the capture
+        itself is never mutated.  Rows are immutable (``put`` always stores
+        a fresh one), which makes sharing the containers safe.  Indexes are
+        derived data and are not captured.
         """
         if self._pending:
             self._flush_pending()
@@ -333,8 +448,11 @@ class Table:
         When the table was not written since the capture — it still holds
         the captured row dict — its indexes describe exactly the restored
         rows and are kept.  Otherwise every index is dropped and rebuilt on
-        its next request.
+        its next request.  A journaled capture alive on this table is
+        turned into copies first, since the rows it describes go.
         """
+        if self._journal is not None:
+            self._journal.copy_marks()
         if state[0] is not self.data:
             self._pending.clear()
             self._indexes.clear()
@@ -349,6 +467,8 @@ class Table:
         rebuilds the write log sorted by timestamp.  Every index is dropped
         and rebuilt on its next request.
         """
+        if self._journal is not None:
+            self._journal.copy_marks()
         self.data = {key: Row(value, ts) for key, value, ts in entries}
         self._shared = False
         self._compact_log()

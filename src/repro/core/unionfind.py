@@ -16,10 +16,12 @@ justification edge between the *original* ids the caller passed (never the
 compressed roots), so ``explain``-style queries can later recover why two
 ids are equal.
 
-A capture (:meth:`UnionFind.mark`) costs O(1) in the number of ids: it
-records the current lengths and a position in one undo journal, and while
-it is alive every overwrite of an entry that existed at the newest capture
-appends the entry's old value to that journal.  :meth:`UnionFind.rollback`
+A capture (:meth:`UnionFind.mark`) costs O(1) in the number of ids and
+rows: it records the current lengths and a position in one undo journal,
+and while it is alive every overwrite of an entry that existed at the
+newest capture appends the entry's old value to that journal.  The journal
+is the engine's only one: it also takes the overwrites of the database
+tables a mark captures (``Table.capture``).  :meth:`UnionFind.rollback`
 undoes back to that position and truncates, so a restore costs the writes
 it undoes.  Restoring by undoing recorded writes is the idea behind
 Conchon and Filliâtre's persistent union-find (ML Workshop 2007).
@@ -28,36 +30,47 @@ Conchon and Filliâtre's persistent union-find (ML Workshop 2007).
 from __future__ import annotations
 
 import weakref
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from .database import Table
 from .proofs import EXPLICIT, Justification, ProofForest
 
-#: One journal record: ``array[index]`` held ``old`` before an overwrite.
-Record = Tuple[list, int, Any]
+#: One journal record: ``container[index]`` held ``old`` before an
+#: overwrite.  The container is a union-find or proof-forest array, or a
+#: :class:`~repro.core.database.Table` (index: a key; old: its row).
+Record = Tuple[Any, Any, Any]
 
 #: Approximate bytes (64-bit CPython) of one journal record (a 3-tuple and
-#: its list slot), of one array entry in a copy, and of one node-log entry
-#: in a dict copy; they bound the journal by the memory of one copy.
+#: its list slot), of one array entry in a copy, of one node-log entry in a
+#: dict copy, and of one table row in a copy (its dict entry and its two
+#: write-log entries); they bound the journal by the memory of one copy.
 RECORD_BYTES = 72
 ENTRY_BYTES = 8
 NODE_BYTES = 40
+ROW_BYTES = 56
 
 
 class Mark:
-    """A capture of a :class:`UnionFind`, its proof forest and node log.
+    """A capture of a :class:`UnionFind`, its proof forest and node log,
+    and a set of database tables.
 
     A mark starts *journaled*: it holds the lengths at capture time
     (``n_ids``, ``n_nodes``), its position ``pos`` in the owner's undo journal,
-    and copies of the small dirty set and union counter.  When a restore
-    cannot be a plain undo (see :meth:`UnionFind.rollback`), or the journal
-    outgrows a copy, the owner turns the mark into copies: ``state`` then
-    holds a :meth:`UnionFind.snapshot` tuple.  No restore changes a mark,
-    so one mark can be restored any number of times.
+    copies of the small dirty set and union counter, and per table name
+    ``(table, Table.capture())``.  When a restore cannot be a plain undo
+    (see :meth:`UnionFind.rollback`), a captured row is removed, or the
+    journal outgrows a copy, the owner turns the mark into copies: ``state``
+    then holds a :meth:`UnionFind.snapshot` tuple and each ``tables`` entry
+    a copy-on-write ``Table.snapshot()`` tuple instead of its capture.  No
+    restore changes a mark, so one mark can be restored any number of times.
     """
 
-    __slots__ = ("owner", "pos", "n_ids", "n_nodes", "dirty", "n_unions", "state", "__weakref__")
+    __slots__ = (
+        "owner", "pos", "n_ids", "n_nodes", "dirty", "n_unions", "tables", "state",
+        "__weakref__",
+    )
 
-    def __init__(self, owner: "UnionFind") -> None:
+    def __init__(self, owner: "UnionFind", tables: Dict[str, Table]) -> None:
         self.owner = owner
         self.pos = 0  # set once the owner tracks the mark (UnionFind.mark)
         self.n_ids = len(owner._parent)
@@ -65,6 +78,9 @@ class Mark:
         self.n_nodes = len(forest.nodes) if forest is not None else 0
         self.dirty = frozenset(owner._dirty)
         self.n_unions = owner._n_unions
+        self.tables: Dict[str, Tuple[Table, tuple]] = {
+            name: (table, table.capture(owner)) for name, table in tables.items()
+        }
         self.state: Optional[tuple] = None
 
 
@@ -96,7 +112,8 @@ class UnionFind:
         #: is journaled.
         self._undo: List[Record] = []
         self._frozen = 0
-        #: Weak references to the live journaled marks, oldest first.
+        #: Weak references to the live journaled marks, oldest first; the
+        #: tables they captured journal into ``_undo`` while it is non-empty.
         self._marks: List["weakref.ref[Mark]"] = []
         if self.proofs is not None:
             self.proofs._undo = self._undo
@@ -175,7 +192,7 @@ class UnionFind:
         self._n_unions += 1
         if self.proofs is not None:
             self.proofs.record(a, b, reason if reason is not None else EXPLICIT)
-        if frozen and len(self._undo) > self._journal_limit():
+        if frozen and len(self._undo) > self._journal_limit(tables=False):
             self._shorten_journal()
         return ra
 
@@ -229,22 +246,24 @@ class UnionFind:
         Live journaled marks describe the arrays being replaced, so they
         are turned into copies first.
         """
-        self._freeze_marks()
+        self.copy_marks()
         self._parent, self._size, self._dirty, self._n_unions, forest = state
         if self.proofs is not None and forest is not None:
             self.proofs.install(*forest)
 
     # -- journaled captures (push/pop, transactions, fork) ----------------------
 
-    def mark(self) -> Mark:
-        """Capture this union-find, its proof forest and node log.
+    def mark(self, tables: Optional[Dict[str, Table]] = None) -> Mark:
+        """Capture this union-find, its proof forest and node log, and
+        ``tables`` (name -> table).
 
-        O(1) in the number of ids (plus a copy of the dirty set, which is
-        empty after every rebuild).  Until the mark dies, every overwrite
-        of an id that exists now is journaled; ids allocated later are
-        truncated by :meth:`rollback`.
+        O(1) in the number of ids and rows (plus a copy of the dirty set,
+        which is empty after every rebuild).  Until the mark dies, every
+        overwrite of an id that exists now, and of a row of ``tables``
+        that exists now, is journaled; ids allocated and rows inserted
+        later are truncated by :meth:`rollback`.
         """
-        mark = Mark(self)
+        mark = Mark(self, tables or {})
         self._marks.append(weakref.ref(mark, self._released))
         # Read the position only now: a mark dying before this one was
         # tracked could have emptied the journal.
@@ -252,20 +271,29 @@ class UnionFind:
         self._set_frozen(mark.n_ids)
         return mark
 
-    def rollback(self, mark: Mark) -> None:
+    def rollback(self, mark: Mark) -> Dict[str, Table]:
         """Reinstall the state ``mark`` captured; the mark stays valid.
 
-        Restoring the newest live mark undoes the journal back to it and
-        truncates, in O(writes undone).  Any other restore (an older mark,
-        as when a batch pops a push made before it, or a mark already
-        turned into copies) first turns every live mark into copies and
-        then installs a copy of ``mark``'s.  A mark of another union-find
-        (a fork's parent) is installed as one fresh copy of its state.
+        Returns the captured tables (name -> table), each holding the rows
+        it held at the capture.  Restoring the newest live mark undoes the
+        journal back to it and truncates, in O(writes undone); a table not
+        written since keeps its containers and indexes.  Any other restore
+        (an older mark, as when a batch pops a push made before it, or a
+        mark already turned into copies) first turns every live mark into
+        copies and then installs a copy of ``mark``'s; tables not written
+        since the capture are shared, not copied.  A mark of another
+        union-find (a fork's parent) is installed as one fresh copy of its
+        union-find state and new tables sharing its rows copy-on-write.
         """
         owner = mark.owner
         if owner is not self:
-            self._install(owner._copy_of(mark))
-            return
+            state, copies = owner._copy_of(mark)
+            self._install(state)
+            tables: Dict[str, Table] = {}
+            for name, (table, rows) in copies.items():
+                tables[name] = fresh = Table(table.decl)
+                fresh.restore(rows)
+            return tables
         marks = self._marks
         if mark.state is None and marks and marks[-1]() is mark:
             undo = self._undo
@@ -279,28 +307,54 @@ class UnionFind:
                 self.proofs.truncate(n, mark.n_nodes)
             self._dirty = set(mark.dirty)
             self._n_unions = mark.n_unions
-            return
-        self._freeze_marks()
+            for table, capture in mark.tables.values():
+                table.rollback(capture)
+            return {name: table for name, (table, _capture) in mark.tables.items()}
+        self.copy_marks()
         assert mark.state is not None  # every live journaled mark is copied now
         self.restore(mark.state)
+        for table, rows in mark.tables.values():
+            table.restore(rows)
+        return {name: table for name, (table, _rows) in mark.tables.items()}
 
-    def _copy_of(self, mark: Mark) -> tuple:
-        """Fresh containers holding the state ``mark`` captured."""
+    def record_row(self, table: Table, key: Any, old: Any) -> None:
+        """Journal that ``table`` held row ``old`` under ``key`` before an
+        overwrite (``Table.put`` under a live capture)."""
+        undo = self._undo
+        undo.append((table, key, old))
+        if len(undo) > self._journal_limit(tables=False):
+            self._shorten_journal()
+
+    def _copy_of(self, mark: Mark) -> Tuple[tuple, Dict[str, Tuple[Table, tuple]]]:
+        """The state ``mark`` captured: fresh containers holding its
+        union-find state, and per table name the table with a
+        ``Table.snapshot()`` tuple of its rows.  A table not written since
+        the capture is shared copy-on-write; a written one is copied."""
         if mark.state is not None:
-            return _copied(mark.state)
+            return _copied(mark.state), dict(mark.tables)
         n = mark.n_ids
         forest = self.proofs
         arrays: List[list] = [self._parent, self._size]
         if forest is not None:
             arrays += [forest._parent, forest._edge]
         copies = [array[:n] for array in arrays]
+        copy_of: Dict[int, Any] = {id(array): copy for array, copy in zip(arrays, copies)}
+        tables: Dict[str, Tuple[Table, tuple]] = {}
+        for name, (table, capture) in mark.tables.items():
+            if table.written_since(capture):
+                rows = table.copy_at(capture)
+                copy_of[id(table)] = rows[0]
+            else:
+                rows = table.snapshot()
+            tables[name] = (table, rows)
         undo = self._undo
-        if len(undo) > mark.pos:
-            copy_of = {id(array): copy for array, copy in zip(arrays, copies)}
-            for at in range(len(undo) - 1, mark.pos - 1, -1):
-                array, index, old = undo[at]
-                if index < n:
-                    copy_of[id(array)][index] = old
+        for at in range(len(undo) - 1, mark.pos - 1, -1):
+            array, index, old = undo[at]
+            copy = copy_of.get(id(array))
+            # Skip ids allocated and rows inserted after the mark, and
+            # tables it did not capture.
+            if copy is not None and (index in copy if type(copy) is dict else index < n):
+                copy[index] = old
         forest_state = None
         if forest is not None:
             # Copying the whole log and dropping its newest entries beats
@@ -309,11 +363,16 @@ class UnionFind:
             for _ in range(len(nodes) - mark.n_nodes):
                 nodes.popitem()
             forest_state = (copies[2], copies[3], nodes)
-        return (copies[0], copies[1], set(mark.dirty), mark.n_unions, forest_state)
+        state = (copies[0], copies[1], set(mark.dirty), mark.n_unions, forest_state)
+        return state, tables
 
-    def _freeze_marks(self, count: Optional[int] = None) -> None:
+    def copy_marks(self, count: Optional[int] = None) -> None:
         """Turn the oldest ``count`` live journaled marks (all by default)
-        into copies and drop the journal records no live mark needs."""
+        into copies and drop the journal records no live mark needs.
+
+        Besides the restores that cannot undo, ``Table.remove`` of a
+        captured row calls this: no record restores a removed row's
+        position."""
         marks = self._marks
         if not marks:
             return  # the journal is empty and nothing is journaled
@@ -321,7 +380,7 @@ class UnionFind:
         for ref in copied:
             mark = ref()
             if mark is not None:
-                mark.state = self._copy_of(mark)
+                mark.state, mark.tables = self._copy_of(mark)
         # Rebuild rather than slice: a collection during the copies may
         # have run ``_released`` and shortened the list.
         self._marks = marks = [ref for ref in self._marks if ref not in copied]
@@ -332,12 +391,21 @@ class UnionFind:
             mark.pos -= start
         self._set_frozen(live[-1].n_ids if live else 0)
 
-    def _journal_limit(self) -> int:
+    def _journal_limit(self, tables: bool = True) -> int:
         """How many records the journal may hold before it outweighs one
-        copy of this union-find, its forest and node log."""
+        copy of this union-find, its forest and node log, and (unless
+        ``tables`` is false, for a cheap lower bound) the tables written
+        since the oldest live mark."""
         forest = self.proofs
         arrays, nodes = (2, 0) if forest is None else (4, len(forest.nodes))
         copy_bytes = ENTRY_BYTES * arrays * len(self._parent) + NODE_BYTES * nodes
+        oldest = self._marks[0]() if tables and self._marks else None
+        if oldest is not None:
+            copy_bytes += ROW_BYTES * sum(
+                len(table)
+                for table, capture in oldest.tables.values()
+                if table.written_since(capture)
+            )
         return copy_bytes // RECORD_BYTES
 
     def _shorten_journal(self) -> None:
@@ -345,7 +413,7 @@ class UnionFind:
         a copy, so a capture held across many batches (a client's ``push``
         left open) costs no more memory than a copy would."""
         while self._marks and len(self._undo) > self._journal_limit():
-            self._freeze_marks(1)
+            self.copy_marks(1)
 
     def _released(self, ref: "weakref.ref[Mark]") -> None:
         """A journaled mark died: journal only for the marks still alive."""

@@ -42,7 +42,15 @@ from .extract import BestNodes
 from .extract import extract as _extract
 from .program import RuleExec, compile_actions, compile_term
 from .rebuild import rebuild as _rebuild
-from .rule import DEFAULT_RULESET, CompiledRule, Fact, Rule, compile_facts, compile_rule
+from .rule import (
+    DEFAULT_RULESET,
+    CompiledRule,
+    Fact,
+    Rule,
+    compile_facts,
+    compile_rule,
+    format_fact,
+)
 from .rule import birewrite as _birewrite
 from .rule import rewrite as _rewrite
 from .schedule import Schedule, Seq
@@ -140,6 +148,19 @@ class EGraph:
         self._compile_epoch += 1
         self._merge_fns.clear()
         self._eq_cols.clear()
+
+    def drop_compiled(self) -> None:
+        """Drop every compiled executor and merge closure this engine holds.
+
+        Rule executors and merge closures refer back to the engine, so an
+        engine that ran rules or merges stays cyclic garbage while they are
+        cached; an owner that is done with the engine (the session manager
+        dropping a session) calls this, and reference counting frees it.
+        The engine stays usable: executors are rebuilt on demand.
+        """
+        self.invalidate_compiled()
+        for rule in self.rules.values():  # push-stack entries hold the same rules
+            rule.cached_exec = None
 
     def eq_columns(self, decl: FunctionDecl) -> List[Tuple[int, str]]:
         """The eq-sorted columns of ``decl`` as ``(column, sort)`` pairs.
@@ -624,22 +645,21 @@ class EGraph:
         forest and proof-node log, every table's rows, declarations, rules
         and their semi-naïve watermarks, the timestamp, and the update
         counter.  A capture costs O(tables + rules), independent of rows
-        and e-classes: tables are captured copy-on-write (see
-        ``Table.snapshot``), and the union-find, proof forest and node log
-        by their lengths and a position in the union-find's undo journal
-        (``UnionFind.mark``), which records every overwrite while the
-        capture is alive.  The snapshot is *out of band* — it does not
-        touch the :meth:`push`/:meth:`pop` stack, so holders
-        (transactional batches, :meth:`fork`) can roll back without
-        disturbing client-visible push/pop pairing.  A capture replaces no
-        table, declaration or rule, so compiled executors stay valid; only
-        :meth:`restore_state` invalidates them.
+        and e-classes, and copies nothing: one ``UnionFind.mark`` records
+        the lengths of the union-find, proof forest, node log, every
+        table's rows and write log, and a position in the engine's one
+        undo journal, which records every overwrite of captured state while
+        the capture is alive (see ``Table.capture``).  The snapshot is
+        *out of band* — it does not touch the :meth:`push`/:meth:`pop`
+        stack, so holders (transactional batches, :meth:`fork`) can roll
+        back without disturbing client-visible push/pop pairing.  A capture
+        replaces no table, declaration or rule, so compiled executors stay
+        valid; only :meth:`restore_state` invalidates them.
         """
         return {
-            "uf": self.uf.mark(),
+            "uf": self.uf.mark(self.tables),
             "sorts": dict(self.sorts),
             "decls": dict(self.decls),
-            "tables": {name: table.snapshot() for name, table in self.tables.items()},
             "rules": dict(self.rules),
             "watermarks": {name: rule.last_run for name, rule in self.rules.items()},
             "rulesets": {name: list(rules) for name, rules in self.rulesets.items()},
@@ -652,31 +672,22 @@ class EGraph:
         made since.  E-class ids allocated after the capture become invalid.
 
         The capture survives the restore intact, so it can be restored
-        again: tables share its rows copy-on-write, the small dicts are
-        installed as copies, and the union-find rolls back through
-        ``UnionFind.rollback``.  Restoring the newest live capture undoes
-        the union-find's journal, in O(writes undone); any other restore
-        (a batch that pops a push made before it) first turns every live
-        capture into copies, then installs a copy.  A pinned transaction
-        snapshot or push-stack entry stays pristine even when a ``pop``
-        runs inside an aborted batch.
+        again: the small dicts are installed as copies, and the union-find
+        and tables roll back through ``UnionFind.rollback``.  Restoring the
+        newest live capture undoes the journal, in O(writes undone): each
+        captured table gets its overwritten rows back and loses the rows
+        inserted since.  Any other restore (a batch that pops a push made
+        before it) first turns every live capture into copies, then
+        installs a copy; a table not written since its capture is shared
+        rather than copied.  A pinned transaction snapshot or push-stack
+        entry stays pristine even when a ``pop`` runs inside an aborted
+        batch.  Tables declared after the capture are dropped; the captured
+        Table objects come back (bound to the captured declarations), and
+        those not written since keep their indexes.
         """
-        self.uf.rollback(snap["uf"])
+        self.tables = self.uf.rollback(snap["uf"])
         self.sorts = dict(snap["sorts"])
         self.decls = dict(snap["decls"])
-        # Tables declared after the capture are dropped; surviving Table
-        # objects are restored in place, so tables not written since the
-        # capture keep their indexes.  A table that is missing now (a fresh
-        # fork, an in-batch ``load``) or bound to another declaration (a
-        # ``pop`` then a redeclaration) is recreated on the captured one.
-        tables: Dict[str, Table] = {}
-        for name, state in snap["tables"].items():
-            table = self.tables.get(name)
-            if table is None or table.decl is not self.decls[name]:
-                table = Table(self.decls[name])
-            table.restore(state)
-            tables[name] = table
-        self.tables = tables
         self.rules = dict(snap["rules"])
         for name, last_run in snap["watermarks"].items():
             self.rules[name].last_run = last_run
@@ -790,7 +801,8 @@ class EGraph:
         """
         matches = self.query(*facts)
         if not matches:
-            raise CheckError(f"check failed: no matches for {facts!r}")
+            rendered = " ".join(format_fact(fact) for fact in facts)
+            raise CheckError(f"check failed: no matches for {rendered}")
         return len(matches)
 
     def check_equal(self, lhs: TermLike, rhs: TermLike) -> bool:
@@ -968,10 +980,11 @@ class EGraph:
         :meth:`snapshot_state`, the capture path push/pop and transactional
         batches use.
 
-        Tables are shared copy-on-write, and the child builds its
-        union-find, proof forest and node log from one copy of the
-        parent's, so a fork costs O(tables + e-classes) and each engine
-        copies a table only when it first writes it.  Semantically
+        Tables are shared copy-on-write (``Table.snapshot``; a fork copies
+        no table), and the child builds its union-find, proof forest and
+        node log from one copy of the parent's, so a fork costs O(tables +
+        e-classes) and each engine copies a table once, when it first
+        writes it after the fork.  Semantically
         identical to round-tripping through a ``repro.snapshot/v1``
         document (``engine_document(fork)`` is byte-identical to
         ``engine_document(parent)``, which the test suite pins).

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union as TyUnion
 
 from ..core.query import Arg, PrimAtom, Query, QVar, TableAtom
-from ..core.terms import Term, TermApp, TermLit, TermLike, TermVar, as_term
+from ..core.terms import Term, TermApp, TermLit, TermLike, TermVar, as_term, format_term
 from .actions import Action, Union
 from .errors import EGraphError
 
@@ -40,6 +40,14 @@ class EqFact:
 
 
 Fact = TyUnion[Term, EqFact]
+
+
+def format_fact(fact: Fact) -> str:
+    """Render a body fact — an application or an ``(= a b)`` equality —
+    in .egg surface syntax (iteratively, like :func:`format_term`)."""
+    if isinstance(fact, EqFact):
+        return f"(= {format_term(fact.lhs)} {format_term(fact.rhs)})"
+    return format_term(fact)
 
 
 def eq(lhs: TermLike, rhs: TermLike) -> EqFact:

@@ -168,9 +168,10 @@ class Session:
         state = engine.snapshot_state()
         # A shallow list copy pins the pre-batch push/pop stack: entries
         # stay pristine even if the batch pops them, because no write after
-        # a restore reaches a capture (tables copy on their first write; a
-        # restore of anything but the newest live capture first turns every
-        # live union-find capture into copies).
+        # a restore reaches a capture: a restore of anything but the newest
+        # live capture first turns every live capture into copies, and a
+        # table shared with a copy copies itself on its first write.  The
+        # capture itself copies nothing; the batch's writes are journaled.
         stack = list(engine._snapshots)
         frontend = self.evaluator.session_snapshot()
         try:
@@ -461,6 +462,7 @@ class SessionManager:
                         f"cannot passivate session {victim.id!r}: {error}"
                     ) from error
             victim.retired = True
+            victim.engine.drop_compiled()  # the orphan's cycles (see remove_session)
         finally:
             victim.lock.release()
         with self._lock:
@@ -622,6 +624,12 @@ class SessionManager:
             )
             if live is None and not stored:
                 raise UnknownSessionError(f"no session {session_id!r}")
+        if live is not None:
+            # Break the engine's reference cycles so reference counting frees
+            # it, under the session's mutex (a running batch finishes first)
+            # and without the manager lock (see the module docstring).
+            with live.lock:
+                live.engine.drop_compiled()
 
     def _passivated_ids(self) -> List[str]:
         if self.store is None:

@@ -1,19 +1,23 @@
 """Captures: every restore is byte-identical to what its capture saw.
 
 Every served batch captures its engine (``EGraph.snapshot_state``), and so
-does every ``(push)``.  Tables are captured copy-on-write; the union-find,
-its proof forest and the proof-node log by their lengths and a position in
-one undo journal (``UnionFind.mark``), so a restore undoes recorded writes
-instead of reinstalling copies.  Restores are not last-in-first-out: a
-failing batch that pops a push made before it restores the older capture,
-then its own newer one.
+does every ``(push)``.  The union-find, its proof forest, the proof-node
+log and every table are captured by their lengths and a position in one
+undo journal (``UnionFind.mark``, ``Table.capture``), so a capture copies
+nothing and a restore undoes recorded writes instead of reinstalling
+copies.  Restores are not last-in-first-out: a failing batch that pops a
+push made before it restores the older capture, then its own newer one,
+and a removal of a captured row turns the live captures into copies.  A
+fork shares the tables copy-on-write with the engine it came from.
 
 The property drives a session through random batches that commit or fail,
 including a failing batch that pops a push made before it and one that
-pushes and then fails, and demands:
+pushes and then fails, forks it midway, and demands:
 
 * after every restore (a rolled-back batch, a ``(pop)``), the engine's
   snapshot bytes equal the bytes recorded when that capture was taken;
+* a fork's bytes do not change while the session commits, fails and pops,
+  and the session's do not change while the fork writes;
 * after the sequence, a ``fork`` is byte-identical to a save/load round
   trip.
 """
@@ -65,8 +69,11 @@ commands = st.one_of(
 #: a client push first; ``pop``: the client's pop; ``scoped``: a committed
 #: batch that pushes and pops its own scope; ``fail``: a batch that fails
 #: after its commands ran; ``pop-then-fail``: a failing batch that pops a
-#: push made before it; ``push-then-fail``: a failing batch that pushes.
-KINDS = ("commit", "push", "pop", "scoped", "fail", "pop-then-fail", "push-then-fail")
+#: push made before it; ``push-then-fail``: a failing batch that pushes;
+#: ``fork``: fork the session and run the batch on the fork.
+KINDS = (
+    "commit", "push", "pop", "scoped", "fail", "pop-then-fail", "push-then-fail", "fork",
+)
 
 batches = st.lists(
     st.tuples(st.sampled_from(KINDS), st.lists(commands, max_size=3)),
@@ -81,14 +88,22 @@ def _bytes(engine):
 @settings(max_examples=40, deadline=None)
 @given(batches=batches)
 def test_every_restore_is_byte_identical_to_its_capture(batches):
-    session = SessionManager().create_session()
+    manager = SessionManager()
+    session = manager.create_session()
     session.run_egg(SETUP)
     engine = session.engine
     pushed = []  # the engine's bytes at each open client push, innermost last
+    forked = None  # (the latest fork, its bytes)
     for kind, cmds in batches:
         body = "\n".join(cmds)
         before = _bytes(engine)
-        if kind == "commit":
+        if kind == "fork":
+            fork = manager.fork_session(session.id)
+            assert _bytes(fork.engine) == before
+            fork.run_egg(body + "\n(run 1)")
+            assert _bytes(engine) == before
+            forked = (fork, _bytes(fork.engine))
+        elif kind == "commit":
             session.run_egg(body)
         elif kind == "push":
             session.run_egg("(push)\n" + body)
@@ -109,6 +124,12 @@ def test_every_restore_is_byte_identical_to_its_capture(batches):
             with pytest.raises(ProgramError):
                 session.run_egg(head + body + "\n(no-such-command)")
             assert _bytes(engine) == before
+        if forked is not None:
+            assert _bytes(forked[0].engine) == forked[1]
+    if forked is not None:
+        before = _bytes(engine)
+        forked[0].run_egg("(run 2)\n" + "\n".join(f"(union {_num(n)} {_num(n + 1)})" for n in range(4)))
+        assert _bytes(engine) == before
     round_trip = engine_from_document(engine_document(engine))
     assert _bytes(engine.fork()) == _bytes(round_trip)
     # The rolled-back session still runs, and its pushes still pop in order.
@@ -177,3 +198,41 @@ def test_a_capture_copies_nothing_as_long_as_the_union_find():
     outside_tables = {name: part for name, part in state.items() if name != "tables"}
     sizes = [len(container) for container in _containers(outside_tables)]
     assert sizes and max(sizes) < ids
+
+
+def test_a_committed_batch_copies_no_table():
+    session = SessionManager().create_session()
+    session.run_egg(INFER_SETUP)
+    for n in range(5):
+        session.run_egg(_infer_batch(n))
+    engine = session.engine
+    held = {
+        name: (table, table.data, table._log_ts, table._log_keys, len(table._log_ts))
+        for name, table in engine.tables.items()
+    }
+    session.run_egg(_infer_batch(5))
+    written = [name for name, (table, *_rest, n_log) in held.items() if len(table._log_ts) > n_log]
+    assert {"TVar", "TArrow"} <= set(written)
+    for name in written:
+        table, data, log_ts, log_keys, _n_log = held[name]
+        assert engine.tables[name] is table
+        assert table.data is data and table._log_ts is log_ts and table._log_keys is log_keys
+    # The batch's capture died with it: nothing is journaled any more.
+    assert not engine.uf._undo and not engine.uf._marks
+    engine.tables["TVar"].put(("fresh",), engine.tables["TInt"].get(()), 0)
+    assert not engine.uf._undo
+
+
+def test_an_out_of_order_pop_copies_no_table_the_session_did_not_write():
+    session = SessionManager().create_session()
+    session.run_egg(INFER_SETUP + "\n(relation path (i64 i64))\n(path 1 2)\n(path 2 3)")
+    session.run_egg("(push)")
+    session.run_egg(_infer_batch(0))
+    engine = session.engine
+    path = engine.tables["path"]
+    data, index = path.data, path.index((0,))
+    # The pop restores the push, older than the batch's own capture: every
+    # live capture turns into copies, and the unwritten table is shared.
+    session.run_egg("(check (path 1 2))\n(pop)")
+    assert engine.tables["path"] is path
+    assert path.data is data and path._indexes[(0,)] is index

@@ -386,6 +386,19 @@ def test_a_10000_deep_term_goes_through_every_engine_entry_point():
     assert eg.extract_with_cost(App("S", deep)) == (1, App("Z"))
 
 
+def test_a_failing_check_of_a_deep_fact_names_it_in_egg_syntax():
+    eg = peano_engine()
+    deep = App("Z")
+    for _ in range(300):
+        deep = App("S", deep)
+    eg.add(deep)
+    assert eg.check(deep) == 1
+    absent = App("S", deep)
+    with pytest.raises(CheckError) as error:
+        eg.check(absent)
+    assert str(error.value) == f"check failed: no matches for {format_term(absent)}"
+
+
 def test_lookups_of_an_absent_outer_application_write_nothing():
     eg = peano_engine()
     inner = App("S", App("Z"))

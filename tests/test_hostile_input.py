@@ -162,6 +162,35 @@ def test_deep_json_terms_answer_422(live):
     assert _rows(live, session)["S"] == 0
 
 
+def _json_deep(depth):
+    term = ["a", "Z", []]
+    for _ in range(depth):
+        term = ["a", "S", [term]]
+    return term
+
+
+def test_a_failing_json_check_of_a_deep_fact_answers_like_a_shallow_one(live):
+    # A miss is an answer, however deep the fact.
+    session = _session(live)
+    assert _egg(live, session, _deep(250))[0] == 200
+    status, body = _ops(
+        live,
+        session,
+        {"op": "check", "facts": [_json_deep(251)]},
+        {"op": "check", "facts": [_json_deep(250)]},
+    )
+    assert status == 200, body
+    assert body["results"] == [{"ok": False, "count": 0}, {"ok": True, "count": 1}]
+
+
+def test_a_failing_egg_check_of_a_deep_fact_names_the_fact(live):
+    session = _session(live)
+    assert _egg(live, session, _deep(250))[0] == 200
+    status, body = _egg(live, session, f"(check {_deep(251)})")
+    assert status == 422
+    assert body["error"].endswith(f"1:2: check failed: no matches for {_deep(251)}")
+
+
 @pytest.mark.parametrize(
     "body",
     [b'{"ops": ' + b"[" * 100000 + b"]" * 100000 + b"}", b'{"deadline_ms": ' + b"9" * 5000 + b"}"],

@@ -48,11 +48,30 @@ CHECK_1_5 = {"op": "check", "facts": [["a", "path", [["l", ["i64", 1]], ["l", ["
 # ---------------------------------------------------------------------------
 
 
+TYPES_PROGRAM = """
+(datatype Type (TInt) (TBool) (TVar String) (TArrow Type Type))
+(rule ((= (TArrow a b) (TArrow c d))) ((union a c) (union b d)) :name "decompose-arrow")
+(union (TArrow (TVar "a") (TInt)) (TArrow (TBool) (TVar "b")))
+(run 20)
+"""
+
+INFER_BATCH = """
+(union (TArrow (TVar "x") (TInt)) (TArrow (TBool) (TVar "y")))
+(run 20)
+(check (= (TVar "x") (TBool)))
+(extract (TVar "y"))
+(explain (TVar "y") (TInt))
+"""
+
+
 def test_a_removed_session_is_freed_without_the_cyclic_collector():
-    # An open-shaped session (fork, a check, an extract, delete) must leave
-    # no cycle behind: its engine is freed as soon as the manager drops it.
+    # An open-shaped session (fork, a check, an extract, delete) and an
+    # infer-shaped one (a union, a run, a check, an extract, an explain)
+    # must leave no cycle behind: each engine is freed as soon as the
+    # manager drops its session.
     mgr = SessionManager()
     mgr.add_base_from_program("tc", TC_PROGRAM + "(run 10)")
+    mgr.add_base_from_program("types", TYPES_PROGRAM)
     gc.collect()
     gc.disable()
     try:
@@ -62,6 +81,30 @@ def test_a_removed_session_is_freed_without_the_cyclic_collector():
         mgr.remove_session(session.id)
         del session
         assert engine() is None
+        session = mgr.create_session("types")
+        session.run_egg(INFER_BATCH)
+        engine = weakref.ref(session.engine)
+        mgr.remove_session(session.id)
+        del session
+        assert engine() is None
+    finally:
+        gc.enable()
+
+
+def test_a_retired_session_is_freed_without_the_cyclic_collector():
+    mgr = SessionManager(max_sessions=1)
+    mgr.add_base_from_program("types", TYPES_PROGRAM)
+    gc.collect()
+    gc.disable()
+    try:
+        session = mgr.create_session("types")
+        session.run_egg(INFER_BATCH)
+        engine = weakref.ref(session.engine)
+        newer = mgr.create_session("types")  # evicts the idle one
+        assert session.retired and mgr.evictions == 1
+        del session
+        assert engine() is None
+        assert newer.run_egg(INFER_BATCH)
     finally:
         gc.enable()
 
