@@ -145,16 +145,15 @@ class Table:
 
     def put(self, key: Key, value: Value, timestamp: int) -> None:
         """Insert or overwrite a row, updating every maintained index."""
+        old = self.data.get(key)
         journal = self._journal
-        if journal is not None and journal._marks and key not in self._born:
-            captured = self.data.get(key)
-            if captured is None:
+        if journal is not None and journal._marks:
+            if old is None:
                 self._born.add(key)
-            else:
-                journal.record_row(self, key, captured)
+            elif key not in self._born:
+                journal.record_row(self, key, old)
         if self._shared:
             self._unshare()
-        old = self.data.get(key)
         self.data[key] = Row(value, timestamp)
         if self._log_ts and timestamp < self._log_ts[-1]:
             self._log_sorted = False

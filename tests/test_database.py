@@ -1,5 +1,8 @@
 """Functional database: rows, timestamps, deltas, and lazy indexes."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.database import Row, Table
 from repro.core.schema import FunctionDecl
 from repro.core.unionfind import UnionFind
@@ -277,3 +280,83 @@ def test_nested_captures_restore_in_and_out_of_order():
     uf.rollback(old)
     assert state_of(table) == at_old
     assert_indexes_fresh(table)
+
+
+def index_contents(table):
+    return {columns: {proj: set(keys) for proj, keys in index.items()}
+            for columns, index in table._indexes.items()}
+
+
+def fresh_index_contents(table):
+    fresh = make_table("f", 1, "i64")
+    fresh.load_rows(list(table.rows()))
+    for columns in table._indexes:
+        fresh.index(columns)
+    return index_contents(fresh)
+
+
+#: ``put``/``remove``/``index`` act on one table; ``capture`` marks both;
+#: ``release`` drops a capture; ``restore`` rolls back to the newest
+#: capture (n == 0) or an older one, dropping the newer ones when m > 0 (a
+#: pop); ``fork`` installs the newest state on another union-find, and
+#: ``fork-put`` writes the newest fork.
+TABLE_OPS = (
+    ("put",) * 3 + ("remove", "capture", "restore") * 2 + ("index", "release", "fork", "fork-put")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(TABLE_OPS), st.sampled_from("ab"), st.integers(0, 2), st.integers(0, 2)
+        ),
+        max_size=40,
+    )
+)
+def test_any_interleaving_of_writes_captures_restores_and_forks_restores_exactly(ops):
+    uf = UnionFind()
+    tables = {"a": make_table("f", 1, "i64"), "b": make_table("f", 1, "i64")}
+    captures = []  # (mark, the states it captured), oldest first
+    forks = []  # (union-find, tables, their states)
+
+    def states(of):
+        return {name: state_of(table) for name, table in of.items()}
+
+    for ts, (op, name, n, m) in enumerate(ops):
+        table = tables[name]
+        if op == "put":
+            table.put(key(n), i64(m), ts)
+        elif op == "remove":
+            table.remove(key(n))
+        elif op == "index":
+            table.index(GROUPS[m % len(GROUPS)])
+        elif op == "capture":
+            captures.append((uf.mark(tables), states(tables)))
+        elif op == "release" and captures:
+            del captures[n % len(captures)]
+        elif op == "restore" and captures:
+            at = len(captures) - 1 - n % len(captures)
+            mark, captured = captures[at]
+            tables = uf.rollback(mark)
+            assert states(tables) == captured
+            if m:
+                del captures[at + 1:]
+        elif op == "fork":
+            fork_uf = UnionFind()
+            forked = fork_uf.rollback(uf.mark(tables))
+            assert states(forked) == states(tables)
+            forks.append((fork_uf, forked, states(forked)))
+        elif op == "fork-put" and forks:
+            fork_uf, forked, _before = forks.pop()
+            before = states(tables)
+            forked[name].put(key(n), i64(m), ts)
+            forked[name].remove(key((n + 1) % 3))
+            assert states(tables) == before
+            forks.append((fork_uf, forked, states(forked)))
+        for _fork_uf, forked, expected in forks:
+            assert states(forked) == expected
+        for each in tables.values():
+            assert index_contents(each) == fresh_index_contents(each)
+    for mark, captured in reversed(captures):
+        assert states(uf.rollback(mark)) == captured
